@@ -134,18 +134,19 @@ void RegisterFigure() {
       ->Unit(benchmark::kMillisecond)
       ->Iterations(1);
 
-  // One-sweep-vs-two-sweep mode: the same combined insert+delete waves
-  // applied to cgRXu through the wave API (one native bucket sweep) and
-  // through the decomposed InsertBatch+EraseBatch path (two sweeps),
-  // with the sweep counts read back from IndexStats.
+  // One-pass-vs-two-pass mode: the same combined insert+delete waves
+  // applied to cgRXu through the wave API (one native pass over the
+  // touched buckets) and through the decomposed InsertBatch+EraseBatch
+  // path (two passes), with the buckets each visited read back from
+  // IndexStats.
   benchmark::RegisterBenchmark("Fig18/combined-waves", [](benchmark::State&
                                                               state) {
     const auto& scale = Scale::Get();
     auto& table = Table(
-        "Fig18d: combined wave, one-sweep vs two-sweep "
-        "[apply ms | buckets swept]");
-    table.SetColumns({"wave", "cgRXu one-sweep [ms]", "cgRXu two-sweep [ms]",
-                      "speedup", "sweeps 1x", "sweeps 2x"});
+        "Fig18d: combined wave, one pass vs two passes "
+        "[apply ms | buckets visited]");
+    table.SetColumns({"wave", "cgRXu one-pass [ms]", "cgRXu two-pass [ms]",
+                      "speedup", "buckets visited 1x", "buckets visited 2x"});
 
     const std::size_t n = scale.Keys(26);
     util::KeySetConfig cfg;
@@ -164,10 +165,10 @@ void RegisterFigure() {
     const auto waves = util::SplitIntoWaves(extra, 8);
 
     for (auto _ : state) {
-      BenchIndex one_sweep = MakeCgrxu(32, 128);
-      BenchIndex two_sweep = MakeCgrxu(32, 128);
-      one_sweep.index.Build(keys);
-      two_sweep.index.Build(keys);
+      BenchIndex one_pass = MakeCgrxu(32, 128);
+      BenchIndex two_pass = MakeCgrxu(32, 128);
+      one_pass.index.Build(keys);
+      two_pass.index.Build(keys);
 
       std::uint32_t next_row = static_cast<std::uint32_t>(n);
       for (std::size_t w = 0; w < waves.size(); ++w) {
@@ -179,28 +180,28 @@ void RegisterFigure() {
         for (std::size_t i = 0; i < rows.size(); ++i) rows[i] = next_row + i;
         next_row += static_cast<std::uint32_t>(arrivals.size());
 
-        const api::IndexStats one_before = one_sweep.index.Stats();
+        const api::IndexStats one_before = one_pass.index.Stats();
         const double one_ms = MeasureMs([&] {
-          one_sweep.index.UpdateBatch(arrivals, rows, retirements);
+          one_pass.index.UpdateBatch(arrivals, rows, retirements);
         });
-        const std::uint64_t one_sweeps =
-            one_sweep.index.Stats().Delta(one_before).update_buckets_swept;
+        const std::uint64_t one_visits =
+            one_pass.index.Stats().Delta(one_before).update_buckets_swept;
 
-        const api::IndexStats two_before = two_sweep.index.Stats();
+        const api::IndexStats two_before = two_pass.index.Stats();
         const double two_ms = MeasureMs([&] {
-          two_sweep.index.InsertBatch(arrivals, rows);
-          two_sweep.index.EraseBatch(retirements);
+          two_pass.index.InsertBatch(arrivals, rows);
+          two_pass.index.EraseBatch(retirements);
         });
-        const std::uint64_t two_sweeps =
-            two_sweep.index.Stats().Delta(two_before).update_buckets_swept;
+        const std::uint64_t two_visits =
+            two_pass.index.Stats().Delta(two_before).update_buckets_swept;
 
         table.AddRow({std::to_string(w + 1),
                       util::TablePrinter::Num(one_ms, 2),
                       util::TablePrinter::Num(two_ms, 2),
                       util::TablePrinter::Num(
                           one_ms > 0 ? two_ms / one_ms : 0.0, 2) + "x",
-                      std::to_string(one_sweeps),
-                      std::to_string(two_sweeps)});
+                      std::to_string(one_visits),
+                      std::to_string(two_visits)});
       }
     }
   })

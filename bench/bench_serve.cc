@@ -362,9 +362,9 @@ int main(int argc, char** argv) {
                    open.message.c_str());
       return 1;
     }
-    // Few large waves: every wave into a growing cgrxu pays a
-    // whole-structure sweep (and, from empty, a rebuild), so the load
-    // phase wants wave count low, not wave size small.
+    // Few large waves: each wave pays a round trip and a durable WAL
+    // commit, so the load phase wants wave count low, not wave size
+    // small.
     const std::size_t wave = std::max<std::size_t>(65'536, num_keys / 4);
     for (std::size_t lo = 1; lo <= num_keys; lo += wave) {
       const std::size_t hi = std::min(num_keys, lo + wave - 1);

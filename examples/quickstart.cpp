@@ -78,9 +78,9 @@ int main() {
 
   // Updates are combined waves: erases and inserts in one UpdateBatch
   // call, keys on both sides cancelling pairwise. cgRXu applies the
-  // whole wave in a single bucket sweep (capabilities().combined_updates);
-  // every other backend decomposes with identical results -- here cgRX
-  // pays its rebuild.
+  // whole wave in one pass over the buckets it touches
+  // (capabilities().combined_updates); every other backend decomposes
+  // with identical results -- here cgRX pays its rebuild.
   const std::uint64_t retired = column[0];
   index->UpdateBatch(/*insert_keys=*/{1, 2, 3},
                      /*insert_rows=*/{900001, 900002, 900003},

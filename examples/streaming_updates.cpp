@@ -3,11 +3,12 @@
 // by (sensor id | timestamp); old readings are retired in batches; point
 // and range probes run between batches. Each batch is one combined
 // UpdateBatch wave on the abstract interface -- arrivals and
-// retirements applied in a single bucket sweep on cgRXu
-// (capabilities().combined_updates) -- contrasted against (a) the same
-// cgRXu paying the two-sweep InsertBatch+EraseBatch decomposition and
-// (b) rebuilding cgRX from scratch each batch, the comparison behind
-// the paper's Figure 18. All three run through cgrx::api::Index.
+// retirements applied in one pass that visits each touched bucket once
+// on cgRXu (capabilities().combined_updates) -- contrasted against (a)
+// the same cgRXu paying the two-pass InsertBatch+EraseBatch
+// decomposition and (b) rebuilding cgRX from scratch each batch, the
+// comparison behind the paper's Figure 18. All three run through
+// cgrx::api::Index.
 //
 //   ./streaming_updates
 #include <cstdint>
@@ -47,13 +48,13 @@ int main() {
     }
   }
 
-  // One-sweep waves vs. the same backend decomposed vs. rebuilt cgRX --
+  // Combined waves vs. the same backend decomposed vs. rebuilt cgRX --
   // all held through the same abstract interface.
   const auto streaming = cgrx::api::MakeIndex<std::uint64_t>("cgrxu");
-  const auto two_sweep = cgrx::api::MakeIndex<std::uint64_t>("cgrxu");
+  const auto decomposed = cgrx::api::MakeIndex<std::uint64_t>("cgrxu");
   const auto rebuilding = cgrx::api::MakeIndex<std::uint64_t>("cgrx");
   streaming->Build(std::vector<std::uint64_t>(keys));
-  two_sweep->Build(std::vector<std::uint64_t>(keys));
+  decomposed->Build(std::vector<std::uint64_t>(keys));
   rebuilding->Build(std::vector<std::uint64_t>(keys));
 
   std::cout << "bulk-loaded " << streaming->size() << " readings from "
@@ -62,12 +63,12 @@ int main() {
             << (streaming->capabilities().combined_updates ? "yes" : "no")
             << "\n\n";
   std::cout << std::left << std::setw(8) << "batch" << std::setw(13)
-            << "wave apply" << std::setw(13) << "2-sweep" << std::setw(13)
-            << "rebuild" << std::setw(16) << "sweeps (1x/2x)"
+            << "wave apply" << std::setw(13) << "2-pass" << std::setw(13)
+            << "rebuild" << std::setw(24) << "buckets visited (1x/2x)"
             << "probe agreement\n";
 
-  std::uint64_t total_wave_sweeps = 0;
-  std::uint64_t total_split_sweeps = 0;
+  std::uint64_t total_wave_visits = 0;
+  std::uint64_t total_split_visits = 0;
   std::uint32_t next_row = static_cast<std::uint32_t>(streaming->size());
   cgrx::util::Rng rng(2026);
   for (int batch = 0; batch < kBatches; ++batch) {
@@ -94,24 +95,24 @@ int main() {
       }
     }
 
-    // One combined wave: arrivals + retirements in a single sweep.
+    // One combined wave: arrivals + retirements in one pass.
     const cgrx::api::IndexStats wave_before = streaming->Stats();
     cgrx::util::Timer t1;
     streaming->UpdateBatch(arrivals, rows, retirements);
     const double streaming_ms = t1.ElapsedMs();
-    const std::uint64_t wave_sweeps =
+    const std::uint64_t wave_visits =
         streaming->Stats().Delta(wave_before).update_buckets_swept;
 
-    // The decomposed path on the identical backend: two sweeps.
-    const cgrx::api::IndexStats split_before = two_sweep->Stats();
+    // The decomposed path on the identical backend: two passes.
+    const cgrx::api::IndexStats split_before = decomposed->Stats();
     cgrx::util::Timer t2;
-    two_sweep->InsertBatch(arrivals, rows);
-    two_sweep->EraseBatch(retirements);
+    decomposed->InsertBatch(arrivals, rows);
+    decomposed->EraseBatch(retirements);
     const double split_ms = t2.ElapsedMs();
-    const std::uint64_t split_sweeps =
-        two_sweep->Stats().Delta(split_before).update_buckets_swept;
-    total_wave_sweeps += wave_sweeps;
-    total_split_sweeps += split_sweeps;
+    const std::uint64_t split_visits =
+        decomposed->Stats().Delta(split_before).update_buckets_swept;
+    total_wave_visits += wave_visits;
+    total_split_visits += split_visits;
 
     cgrx::util::Timer t3;
     rebuilding->UpdateBatch(arrivals, rows, retirements);
@@ -130,7 +131,7 @@ int main() {
     std::vector<LookupResult> split_hits;
     std::vector<LookupResult> rebuilding_hits;
     streaming->PointLookupBatch(probes, &streaming_hits);
-    two_sweep->PointLookupBatch(probes, &split_hits);
+    decomposed->PointLookupBatch(probes, &split_hits);
     rebuilding->PointLookupBatch(probes, &rebuilding_hits);
     bool agree =
         streaming_hits == rebuilding_hits && streaming_hits == split_hits;
@@ -149,19 +150,19 @@ int main() {
               << (std::to_string(split_ms) + " ms").substr(0, 9)
               << std::setw(13)
               << (std::to_string(rebuild_ms) + " ms").substr(0, 9)
-              << std::setw(16)
-              << (std::to_string(wave_sweeps) + "/" +
-                  std::to_string(split_sweeps))
+              << std::setw(24)
+              << (std::to_string(wave_visits) + "/" +
+                  std::to_string(split_visits))
               << (agree ? "ok" : "MISMATCH") << "\n";
     if (!agree) return 1;
   }
   std::cout << "\nretained " << streaming->size()
             << " readings; node slab footprint "
             << streaming->Stats().memory_bytes / 1024 << " KiB\n"
-            << "bucket sweeps: " << total_wave_sweeps
-            << " (combined waves) vs " << total_split_sweeps
+            << "buckets visited: " << total_wave_visits
+            << " (combined waves) vs " << total_split_visits
             << " (insert+erase) -- "
-            << (total_split_sweeps - total_wave_sweeps)
-            << " bucket visits saved by the one-sweep wave API\n";
+            << (total_split_visits - total_wave_visits)
+            << " bucket visits saved by the combined wave API\n";
   return 0;
 }

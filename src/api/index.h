@@ -62,10 +62,10 @@ struct IndexStats {
   std::uint64_t buckets_probed = 0;
   /// Lookups rejected by the optional miss filter before firing rays.
   std::uint64_t filter_rejections = 0;
-  /// Buckets visited by update sweeps (cgRXu only): every UpdateBatch
-  /// wave -- combined or decomposed -- pays one whole-structure bucket
-  /// pass, so a combined insert+delete wave shows half the sweeps of an
-  /// InsertBatch followed by an EraseBatch.
+  /// Buckets visited by update waves (cgRXu only): every UpdateBatch
+  /// wave visits each bucket its keys land in once. A combined
+  /// insert+delete wave visits a bucket both sides touch once, an
+  /// InsertBatch followed by an EraseBatch visits it twice.
   std::uint64_t update_buckets_swept = 0;
 
   /// Counter difference against an earlier snapshot of the same index:
@@ -158,9 +158,10 @@ class Index {
   /// appearing on both sides cancelled pairwise before anything touches
   /// the structure (the paper's cgRXu wave semantics, Section IV).
   /// Surviving erases apply before surviving inserts. Backends reporting
-  /// `capabilities().combined_updates` (cgRXu) execute the wave in a
-  /// single native bucket sweep; everything else decomposes into the
-  /// two-sweep EraseBatch-then-InsertBatch path with identical results.
+  /// `capabilities().combined_updates` (cgRXu) execute the wave in one
+  /// native pass that visits each touched bucket once; everything else
+  /// decomposes into the two-pass EraseBatch-then-InsertBatch path with
+  /// identical results.
   /// Batches are taken by value because the wave is sorted in place.
   void UpdateBatch(std::vector<Key> insert_keys,
                    std::vector<std::uint32_t> insert_rows,

@@ -1,6 +1,7 @@
 #ifndef CGRX_SRC_CORE_CGRXU_INDEX_H_
 #define CGRX_SRC_CORE_CGRXU_INDEX_H_
 
+#include <algorithm>
 #include <atomic>
 #include <cassert>
 #include <cstdint>
@@ -43,8 +44,8 @@ struct CgrxuConfig {
 /// split into a representative-node region (one head node per bucket,
 /// addressable directly from a triangle's primitive index) and a
 /// linked-node region feeding node splits. Batch insertions/deletions
-/// run one thread per bucket, never touching the BVH -- which is exactly
-/// how the paper avoids the post-update lookup collapse of RX.
+/// run one task per touched bucket, never touching the BVH -- which is
+/// exactly how the paper avoids the post-update lookup collapse of RX.
 ///
 /// A special overflow bucket with maxKey = +inf catches keys above the
 /// largest bulk-loaded key.
@@ -230,11 +231,22 @@ class CgrxuIndex {
                        });
   }
 
+  /// Touched buckets per task of an update wave: a wave that touches at
+  /// most this many buckets applies inline on the calling thread.
+  static constexpr std::size_t kWaveGrain = 64;
+
   /// Applies a batch of insertions and deletions (paper Section IV):
   /// both sides are sorted, keys appearing on both sides are eliminated
-  /// pairwise, then one thread per bucket applies deletions first and
-  /// insertions second. Node splits allocate from the linked-node
+  /// pairwise, then one task per touched bucket applies deletions first
+  /// and insertions second. Node splits allocate from the linked-node
   /// region; the BVH is never touched.
+  ///
+  /// Deviation from the paper's one-thread-per-bucket sweep: on a GPU
+  /// an idle bucket's thread costs nothing, on a CPU it costs the
+  /// wave's critical path. So the wave walks its sorted keys against
+  /// the bucket boundaries with galloping searches and visits only the
+  /// buckets it lands in: O(k log B) for a k-key wave over B buckets,
+  /// never more than the O(k + B) of a full sweep.
   void UpdateBatch(std::vector<Key> insert_keys,
                    std::vector<std::uint32_t> insert_rows,
                    std::vector<Key> delete_keys,
@@ -247,25 +259,22 @@ class CgrxuIndex {
     // front keeps the parallel phase allocation-free.
     EnsureNodeCapacity(next_free_.load(std::memory_order_relaxed) +
                        static_cast<std::uint32_t>(insert_keys.size()));
-    const std::uint32_t buckets = num_data_buckets_ + 1;
-    // One whole-structure sweep per wave, whatever mix of insertions and
-    // deletions it carries -- the counter api::IndexStats surfaces as
-    // update_buckets_swept (a split Insert+Erase pays this twice).
-    counters_.update_buckets_swept.fetch_add(buckets,
+    const std::vector<WaveSlice> slices =
+        SliceWave(insert_keys, delete_keys);
+    // Each touched bucket counts once per wave, whatever mix of
+    // insertions and deletions lands in it -- the counter
+    // api::IndexStats surfaces as update_buckets_swept.
+    counters_.update_buckets_swept.fetch_add(slices.size(),
                                              std::memory_order_relaxed);
-    std::vector<std::int64_t> delta(buckets, 0);
-    policy.For(buckets, 1, [&](std::size_t b) {
-      const auto bucket = static_cast<std::uint32_t>(b);
-      // Two binary searches delimit this bucket's slice of the batch
-      // (keys in (rep[b-1], rep[b]]).
-      const auto [del_lo, del_hi] = BucketSlice(delete_keys, bucket);
-      for (std::size_t i = del_lo; i < del_hi; ++i) {
-        if (DeleteOne(bucket, delete_keys[i])) --delta[b];
+    std::vector<std::int64_t> delta(slices.size(), 0);
+    policy.For(slices.size(), kWaveGrain, [&](std::size_t s) {
+      const WaveSlice& slice = slices[s];
+      for (std::size_t i = slice.del_lo; i < slice.del_hi; ++i) {
+        if (DeleteOne(slice.bucket, delete_keys[i])) --delta[s];
       }
-      const auto [ins_lo, ins_hi] = BucketSlice(insert_keys, bucket);
-      for (std::size_t i = ins_lo; i < ins_hi; ++i) {
-        InsertOne(bucket, insert_keys[i], insert_rows[i]);
-        ++delta[b];
+      for (std::size_t i = slice.ins_lo; i < slice.ins_hi; ++i) {
+        InsertOne(slice.bucket, insert_keys[i], insert_rows[i]);
+        ++delta[s];
       }
     });
     for (const std::int64_t d : delta) {
@@ -426,21 +435,68 @@ class CgrxuIndex {
     return rep_scene_.Locate(static_cast<std::uint64_t>(key), rays_used, ctx);
   }
 
-  /// [begin, end) slice of a sorted batch belonging to `bucket`, via the
-  /// paper's two binary searches on the bucket boundaries.
-  std::pair<std::size_t, std::size_t> BucketSlice(
-      const std::vector<Key>& batch, std::uint32_t bucket) const {
-    auto begin = batch.begin();
-    if (bucket > 0) {
-      begin = std::upper_bound(batch.begin(), batch.end(),
-                               rep_keys_[bucket - 1]);
+  /// One touched bucket of an update wave: its [lo, hi) slices of the
+  /// sorted erase and insert sides.
+  struct WaveSlice {
+    std::uint32_t bucket;
+    std::size_t del_lo, del_hi;
+    std::size_t ins_lo, ins_hi;
+  };
+
+  /// First index at or after `from` whose element is not `before` (the
+  /// predicate holds on a prefix of `sorted`), by doubling steps from
+  /// `from` then a binary search: O(log d) for an answer d places on.
+  template <typename Before>
+  static std::size_t Gallop(const std::vector<Key>& sorted, std::size_t from,
+                            Before before) {
+    std::size_t lo = from;
+    std::size_t hi = from;
+    for (std::size_t step = 1; hi < sorted.size() && before(sorted[hi]);
+         step *= 2) {
+      lo = hi + 1;
+      hi += step;
     }
-    auto end = batch.end();
-    if (bucket < num_data_buckets_) {
-      end = std::upper_bound(begin, batch.end(), rep_keys_[bucket]);
+    hi = std::min(hi, sorted.size());
+    return static_cast<std::size_t>(
+        std::partition_point(sorted.begin() + lo, sorted.begin() + hi,
+                             before) -
+        sorted.begin());
+  }
+
+  /// Splits a sorted wave into the buckets it lands in, ascending: the
+  /// bucket owning the smaller head key (keys in (rep[b-1], rep[b]], the
+  /// overflow bucket above the last rep) is galloped to from the last
+  /// bucket found, then each side's cursor gallops to that bucket's
+  /// slice end.
+  std::vector<WaveSlice> SliceWave(const std::vector<Key>& insert_keys,
+                                   const std::vector<Key>& delete_keys) const {
+    std::vector<WaveSlice> slices;
+    slices.reserve(std::min<std::size_t>(
+        insert_keys.size() + delete_keys.size(), num_data_buckets_ + 1));
+    std::size_t del = 0;
+    std::size_t ins = 0;
+    std::size_t bucket = 0;
+    while (del < delete_keys.size() || ins < insert_keys.size()) {
+      const Key head = del == delete_keys.size()   ? insert_keys[ins]
+                       : ins == insert_keys.size() ? delete_keys[del]
+                       : std::min(delete_keys[del], insert_keys[ins]);
+      bucket = Gallop(rep_keys_, bucket,
+                      [head](Key rep) { return rep < head; });
+      WaveSlice slice{static_cast<std::uint32_t>(bucket), del,
+                      delete_keys.size(), ins, insert_keys.size()};
+      if (bucket < num_data_buckets_) {
+        const auto within = [rep = rep_keys_[bucket]](Key key) {
+          return key <= rep;
+        };
+        slice.del_hi = Gallop(delete_keys, del, within);
+        slice.ins_hi = Gallop(insert_keys, ins, within);
+      }
+      slices.push_back(slice);
+      del = slice.del_hi;
+      ins = slice.ins_hi;
+      ++bucket;
     }
-    return {static_cast<std::size_t>(begin - batch.begin()),
-            static_cast<std::size_t>(end - batch.begin())};
+    return slices;
   }
 
   Key* NodeKeys(std::uint32_t node) {

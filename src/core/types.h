@@ -54,10 +54,11 @@ struct LookupCounters {
   std::atomic<std::uint64_t> rays_fired{0};
   std::atomic<std::uint64_t> buckets_probed{0};
   std::atomic<std::uint64_t> filter_rejections{0};
-  /// Buckets visited by update sweeps (cgRXu: one whole-structure pass
-  /// per UpdateBatch wave). A combined insert+delete wave sweeps once;
-  /// decomposing it into InsertBatch + EraseBatch sweeps twice, which is
-  /// exactly the cost difference api::Index::UpdateBatch exposes.
+  /// Buckets visited by update waves (cgRXu: each bucket an UpdateBatch
+  /// wave touches, once per wave). A combined insert+delete wave visits
+  /// a bucket both sides land in once; decomposing it into InsertBatch
+  /// + EraseBatch visits it twice, which is the cost difference
+  /// api::Index::UpdateBatch exposes.
   std::atomic<std::uint64_t> update_buckets_swept{0};
 
   LookupCounters() = default;

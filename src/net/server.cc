@@ -954,7 +954,8 @@ constexpr IndexFamily kIndexFamilies[] = {
      "Lookups rejected by the miss filter", "counter",
      &IndexRow::filter_rejections, false},
     {"cgrx_index_update_buckets_swept_total",
-     "Buckets visited by update sweeps", "counter",
+     "Buckets visited by update waves, each touched bucket once per wave",
+     "counter",
      &IndexRow::update_buckets_swept, false},
     {"cgrx_replication_lag_epochs",
      "Epochs a replica trails its primary's last observed head", "gauge",

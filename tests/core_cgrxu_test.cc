@@ -6,6 +6,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <map>
+#include <set>
 #include <string>
 #include <unordered_set>
 #include <vector>
@@ -14,6 +15,7 @@
 
 #include "src/core/cgrxu_index.h"
 #include "src/util/rng.h"
+#include "src/util/task_scheduler.h"
 #include "src/util/workloads.h"
 
 namespace cgrx::core {
@@ -239,12 +241,18 @@ TEST(CgrxuUpdates, EmptyBulkLoadActsAsPureOverflow) {
 struct StormCase {
   int key_bits;
   std::uint32_t node_bytes;
+  /// Keys per wave. Roles rotate over every 11 keys of the storm: 6
+  /// inserts (every third near a live key, the rest anywhere), 4
+  /// erases of live keys and 1 erase of a random, mostly absent key --
+  /// so a 550-key wave is 300 + 200 + 50, and 1-key waves cycle
+  /// through all three.
+  int wave_keys;
 };
 
 class CgrxuStormTest : public ::testing::TestWithParam<StormCase> {};
 
 TEST_P(CgrxuStormTest, RandomUpdateStormMatchesOracle) {
-  const auto [key_bits, node_bytes] = GetParam();
+  const auto [key_bits, node_bytes, wave_keys] = GetParam();
   const std::uint64_t space =
       key_bits == 64 ? ~0ULL : ((1ULL << key_bits) - 1);
   const auto keys64 = MakeDistributedKeySet(KeyDistribution::kUniformity50,
@@ -266,30 +274,36 @@ TEST_P(CgrxuStormTest, RandomUpdateStormMatchesOracle) {
   // covered by the dedicated duplicate tests.
   std::unordered_set<std::uint64_t> used(keys64.begin(), keys64.end());
   std::uint32_t next_row = 4000;
-  for (int wave = 0; wave < 8; ++wave) {
-    // Build a mixed batch: ~300 inserts (some near existing keys, some
-    // far), ~200 deletes of live keys, ~50 deletes of absent keys.
+  int role_cursor = 0;
+  int inserts = 0;
+  // 11 waves: 1-key waves then take every role once.
+  for (int wave = 0; wave < 11; ++wave) {
     std::vector<std::uint64_t> ins;
     std::vector<std::uint32_t> ins_rows;
     std::vector<std::uint64_t> del;
-    for (int i = 0; i < 300; ++i) {
-      std::uint64_t k = i % 3 == 0 ? live[rng.Below(live.size())] + 1
-                                   : rng.Between(0, space);
-      int attempts = 0;
-      while (!used.insert(k).second && attempts++ < 16) {
-        k = rng.Between(0, space);
+    for (int i = 0; i < wave_keys; ++i) {
+      const int role = role_cursor++ % 11;
+      if (role < 6) {
+        std::uint64_t k = inserts++ % 3 == 0
+                              ? live[rng.Below(live.size())] + 1
+                              : rng.Between(0, space);
+        int attempts = 0;
+        while (!used.insert(k).second && attempts++ < 16) {
+          k = rng.Between(0, space);
+        }
+        if (attempts > 16) continue;
+        ins.push_back(k);
+        ins_rows.push_back(next_row++);
+      } else if (role < 10) {
+        if (live.empty()) continue;
+        const std::size_t pos = rng.Below(live.size());
+        del.push_back(live[pos]);
+        live[pos] = live.back();
+        live.pop_back();
+      } else {
+        del.push_back(rng.Between(0, space));
       }
-      if (attempts > 16) continue;
-      ins.push_back(k);
-      ins_rows.push_back(next_row++);
     }
-    for (int i = 0; i < 200 && !live.empty(); ++i) {
-      const std::size_t pos = rng.Below(live.size());
-      del.push_back(live[pos]);
-      live[pos] = live.back();
-      live.pop_back();
-    }
-    for (int i = 0; i < 50; ++i) del.push_back(rng.Between(0, space));
 
     // Mirror into the oracle with the same elimination semantics.
     {
@@ -356,17 +370,171 @@ TEST_P(CgrxuStormTest, RandomUpdateStormMatchesOracle) {
   }
 }
 
+std::vector<StormCase> StormCases() {
+  std::vector<StormCase> cases;
+  for (const int key_bits : {64, 32}) {
+    for (const std::uint32_t node_bytes : {128u, 64u}) {
+      for (const int wave_keys : {1, 16, 550}) {
+        cases.push_back({key_bits, node_bytes, wave_keys});
+      }
+    }
+  }
+  return cases;
+}
+
 INSTANTIATE_TEST_SUITE_P(
-    Storms, CgrxuStormTest,
-    ::testing::Values(StormCase{64, 128}, StormCase{64, 64},
-                      StormCase{32, 128}, StormCase{32, 64}),
+    Storms, CgrxuStormTest, ::testing::ValuesIn(StormCases()),
     [](const auto& info) {
       std::string name = "u";
       name += std::to_string(info.param.key_bits);
       name += 'n';
       name += std::to_string(info.param.node_bytes);
+      name += 'w';
+      name += std::to_string(info.param.wave_keys);
       return name;
     });
+
+std::uint64_t BucketsVisited(const CgrxuIndex64& index) {
+  return index.stat_counters().update_buckets_swept.load(
+      std::memory_order_relaxed);
+}
+
+// A wave visits exactly the buckets its keys land in, once each. Bulk
+// layout: keys 10, 20, ..., 4000 at 4 keys per bucket, so bucket b holds
+// 40b+10 .. 40b+40 and owns (40b, 40b+40]; keys above 4000 land in the
+// overflow bucket 100.
+TEST(CgrxuUpdates, SparseWavesVisitOnlyTouchedBuckets) {
+  constexpr std::uint64_t kBuckets = 100;
+  std::vector<std::uint64_t> keys;
+  UOracle oracle;
+  for (std::uint64_t i = 0; i < 4 * kBuckets; ++i) {
+    keys.push_back(10 * (i + 1));
+    oracle.Insert(keys.back(), static_cast<std::uint32_t>(i));
+  }
+  CgrxuIndex64 index;
+  index.Build(std::vector<std::uint64_t>(keys));
+  ASSERT_EQ(index.num_buckets(), kBuckets);
+  const auto owner = [&](std::uint64_t key) {
+    return key == 0 ? 0 : std::min(kBuckets, (key - 1) / 40);
+  };
+
+  struct Wave {
+    const char* what;
+    std::vector<std::uint64_t> ins;
+    std::vector<std::uint64_t> del;
+  };
+  // Keys stay distinct at every step, and no key is on both sides of a
+  // wave, so every key of a wave touches its bucket.
+  const std::vector<Wave> waves = {
+      {"erase-only, rep keys", {}, {40, 1200, 4000}},
+      {"insert-only, rep keys", {40, 1200, 4000}, {}},
+      {"below the smallest rep", {0, 1, 5, 39}, {10, 20}},
+      {"all in one bucket", {41, 45, 79}, {50, 60, 70, 80}},
+      {"overflow only", {4001, 5000, ~0ULL}, {}},
+      {"overflow only, mixed", {4500}, {5000, 6000}},
+      {"empty", {}, {}},
+      {"absent erases", {}, {3999, 12345, 15}},
+      {"spread", {2, 401, 1999, 4002, 3001}, {100, 4001, 2000}},
+  };
+  std::uint32_t next_row = 1000;
+  for (const Wave& wave : waves) {
+    SCOPED_TRACE(wave.what);
+    std::set<std::uint64_t> touched;
+    std::vector<std::uint32_t> rows;
+    for (const std::uint64_t k : wave.ins) {
+      touched.insert(owner(k));
+      rows.push_back(next_row);
+      oracle.Insert(k, next_row++);
+    }
+    for (const std::uint64_t k : wave.del) {
+      touched.insert(owner(k));
+      oracle.EraseOne(k);
+    }
+    const std::uint64_t before = BucketsVisited(index);
+    index.UpdateBatch(wave.ins, rows, wave.del);
+    EXPECT_EQ(BucketsVisited(index) - before, touched.size());
+
+    ASSERT_EQ(index.size(), oracle.size());
+    std::string error;
+    ASSERT_TRUE(index.ValidateInvariants(&error)) << error;
+    for (std::uint64_t k = 0; k <= 4100; ++k) {
+      ASSERT_EQ(index.PointLookup(k), oracle.Point(k)) << k;
+    }
+    for (const std::uint64_t k : {5000ULL, 6000ULL, 12345ULL, ~0ULL}) {
+      ASSERT_EQ(index.PointLookup(k), oracle.Point(k)) << k;
+    }
+    for (const auto& [lo, hi] :
+         std::vector<std::pair<std::uint64_t, std::uint64_t>>{
+             {0, 100}, {30, 50}, {3990, 5000}, {4000, ~0ULL}, {0, ~0ULL}}) {
+      ASSERT_EQ(index.RangeLookup(lo, hi), oracle.Range(lo, hi))
+          << lo << ".." << hi;
+    }
+  }
+}
+
+// The touched buckets of a wave apply as parallel tasks. Replaying one
+// wave sequence serially and on a 4-thread scheduler must give the same
+// contents; only the ids of split-off nodes may differ.
+TEST(CgrxuUpdates, ParallelWavesMatchSerial) {
+  const auto keys = MakeDistributedKeySet(KeyDistribution::kUniform, 20000,
+                                          64, 70);
+  CgrxuIndex64 serial;
+  CgrxuIndex64 parallel;
+  serial.Build(std::vector<std::uint64_t>(keys));
+  parallel.Build(std::vector<std::uint64_t>(keys));
+  util::TaskScheduler scheduler(4);
+  const auto policy = api::ExecutionPolicy::Parallel(0, &scheduler);
+
+  Rng rng(71);
+  std::vector<std::uint64_t> live(keys);
+  std::uint32_t next_row = static_cast<std::uint32_t>(keys.size());
+  // 8-key waves touch fewer buckets than the task grain and apply
+  // inline; 3000-key waves touch far more and fan out.
+  for (const int wave_keys : {8, 3000, 8, 3000, 3000}) {
+    SCOPED_TRACE(wave_keys);
+    std::vector<std::uint64_t> ins;
+    std::vector<std::uint32_t> rows;
+    std::vector<std::uint64_t> del;
+    for (int i = 0; i < wave_keys / 2; ++i) {
+      ins.push_back(rng());
+      rows.push_back(next_row++);
+      const std::size_t pos = rng.Below(live.size());
+      del.push_back(live[pos]);
+      live[pos] = live.back();
+      live.pop_back();
+    }
+    live.insert(live.end(), ins.begin(), ins.end());
+
+    const std::uint64_t serial_before = BucketsVisited(serial);
+    const std::uint64_t parallel_before = BucketsVisited(parallel);
+    serial.UpdateBatch(ins, rows, del, api::ExecutionPolicy::Serial());
+    parallel.UpdateBatch(ins, rows, del, policy);
+    const std::uint64_t visited = BucketsVisited(serial) - serial_before;
+    EXPECT_EQ(BucketsVisited(parallel) - parallel_before, visited);
+    EXPECT_EQ(visited > CgrxuIndex64::kWaveGrain, wave_keys > 8);
+
+    ASSERT_EQ(parallel.size(), serial.size());
+    EXPECT_EQ(parallel.used_nodes(), serial.used_nodes());
+    std::string error;
+    ASSERT_TRUE(serial.ValidateInvariants(&error)) << error;
+    ASSERT_TRUE(parallel.ValidateInvariants(&error)) << error;
+    std::vector<std::uint64_t> probes;
+    for (int q = 0; q < 4000; ++q) {
+      probes.push_back(q % 2 == 0 ? live[rng.Below(live.size())] : rng());
+    }
+    std::vector<LookupResult> serial_hits(probes.size());
+    std::vector<LookupResult> parallel_hits(probes.size());
+    serial.PointLookupBatch(probes.data(), probes.size(), serial_hits.data());
+    parallel.PointLookupBatch(probes.data(), probes.size(),
+                              parallel_hits.data());
+    ASSERT_EQ(parallel_hits, serial_hits);
+    for (int q = 0; q < 50; ++q) {
+      std::uint64_t lo = rng();
+      const std::uint64_t hi = lo + std::min(~0ULL - lo, ~0ULL / 256);
+      ASSERT_EQ(parallel.RangeLookup(lo, hi), serial.RangeLookup(lo, hi));
+    }
+  }
+}
 
 TEST(CgrxuMemory, FootprintCountsAllocatedNodes) {
   const auto keys = MakeDistributedKeySet(KeyDistribution::kUniform, 5000,
