@@ -1,7 +1,11 @@
-// Traversal-engine microbenchmark: cgRX point-lookup batch throughput
-// over the {binary, wide} x {unsorted, coherent} matrix, plus per-ray
-// node-visit counts and acceleration-structure memory, emitted as
-// machine-readable JSON (BENCH_traversal.json).
+// Traversal microbenchmark over one cgRX scene: casts per second and
+// BVH nodes visited per ray for the wide traversal every lookup takes
+// (Scene::CastRay) and the binary reference BVH it is built from
+// (Scene::CastRayBinary), each over every probe's first lookup ray, in
+// probe order and in the coherence schedule's order
+// (core::CoherentOrder). One more row times the production path,
+// cgRX's PointLookupBatch, serial and parallel. Emits machine-readable
+// JSON (BENCH_traversal.json).
 //
 // Standalone (no google-benchmark dependency) so the Release CI job can
 // always build and smoke-run it:
@@ -9,18 +13,16 @@
 //   bench_micro_traversal [--keys N] [--lookups M] [--out FILE]
 //                         [--out_dir DIR]
 //
-// Defaults reproduce the acceptance configuration: 10M uniform uint64
-// keys, 2M hit-only lookups per cell. The headline speedup is the
-// serial-policy ratio binary+unsorted -> wide+coherent.
+// Defaults: 10M uniform uint64 keys, 2M hit-only lookups.
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <string>
 #include <vector>
 
 #include "bench/bench_io.h"
 #include "src/api/execution_policy.h"
 #include "src/core/cgrx_index.h"
+#include "src/core/coherent.h"
 #include "src/rt/scene.h"
 #include "src/util/rng.h"
 #include "src/util/timer.h"
@@ -31,18 +33,46 @@ using cgrx::api::ExecutionPolicy;
 using cgrx::core::CgrxConfig;
 using cgrx::core::CgrxIndex64;
 using cgrx::core::LookupResult;
-using cgrx::rt::TraversalEngine;
+using cgrx::rt::Ray;
+using cgrx::rt::Scene;
 using cgrx::rt::TraversalStats;
 using cgrx::util::Rng;
 using cgrx::util::Timer;
 
-struct CellResult {
-  const char* engine;
-  bool coherent;
-  double serial_lookups_per_sec;
-  double parallel_lookups_per_sec;
-  double rays_per_lookup;
+struct CastCell {
+  const char* traversal;
+  const char* order;
+  double casts_per_sec;
+  double nodes_per_ray;
 };
+
+/// The first ray a lookup of `key` fires: RepScene's +x ray along the
+/// key's row, from the key's grid cell.
+Ray FirstRay(const cgrx::util::KeyMapping& mapping, std::uint64_t key) {
+  const auto g = mapping.GridOf(key);
+  Ray ray;
+  ray.origin = {mapping.WorldX(g.x) - 0.5f, mapping.WorldY(g.y),
+                mapping.WorldZ(g.z)};
+  ray.direction = {1, 0, 0};
+  ray.t_min = 0;
+  ray.t_max = static_cast<float>(mapping.x_max() - g.x) + 1.0f;
+  return ray;
+}
+
+/// Times one pass of `cast` over `rays`, then counts nodes in a second,
+/// untimed pass.
+template <typename Cast>
+CastCell MeasureCasts(const char* traversal, const char* order,
+                      const std::vector<Ray>& rays, Cast&& cast) {
+  Timer timer;
+  for (const Ray& ray : rays) cast(ray, nullptr);
+  const double seconds = timer.ElapsedSeconds();
+  TraversalStats stats;
+  for (const Ray& ray : rays) cast(ray, &stats);
+  const auto n = static_cast<double>(rays.size());
+  return {traversal, order, n / seconds,
+          static_cast<double>(stats.nodes_visited) / n};
+}
 
 double MeasureLookups(const CgrxIndex64& index,
                       const std::vector<std::uint64_t>& probes,
@@ -53,33 +83,6 @@ double MeasureLookups(const CgrxIndex64& index,
                          policy);
   const double seconds = timer.ElapsedSeconds();
   return static_cast<double>(probes.size()) / seconds;
-}
-
-/// Mean BVH nodes visited by the first lookup ray (the x-ray along the
-/// key's row), per engine -- the structural cost the wide layout cuts.
-double NodesPerRay(const CgrxIndex64& index,
-                   const std::vector<std::uint64_t>& probes,
-                   std::size_t sample, TraversalEngine engine) {
-  const auto& mapping = index.mapping();
-  TraversalStats stats;
-  sample = std::min(sample, probes.size());
-  for (std::size_t i = 0; i < sample; ++i) {
-    const auto g = mapping.GridOf(probes[i]);
-    cgrx::rt::Ray ray;
-    ray.origin = {mapping.WorldX(g.x) - 0.5f, mapping.WorldY(g.y),
-                  mapping.WorldZ(g.z)};
-    ray.direction = {1, 0, 0};
-    ray.t_min = 0;
-    ray.t_max = static_cast<float>(mapping.x_max() - g.x) + 1.0f;
-    if (engine == TraversalEngine::kBinary) {
-      index.scene().CastRayBinary(ray, &stats);
-    } else {
-      index.scene().CastRayWide(ray, &stats);
-    }
-  }
-  return sample == 0 ? 0.0
-                     : static_cast<double>(stats.nodes_visited) /
-                           static_cast<double>(sample);
 }
 
 }  // namespace
@@ -139,74 +142,73 @@ int main(int argc, char** argv) {
 
   // Binary MemoryBytes() includes the packed prim-index array; the wide
   // structure shares that array, so report both its node-only bytes
-  // (the acceptance metric) and its resident bytes (nodes + shared prim
-  // array, matching Scene::MemoryFootprintBytes accounting).
+  // and its resident bytes (nodes + shared prim array, matching
+  // Scene::MemoryFootprintBytes accounting).
+  const Scene& scene = index.scene();
   const std::size_t prim_index_bytes =
-      index.scene().bvh().prim_indices().size() * sizeof(std::uint32_t);
-  const std::size_t binary_bvh_bytes = index.scene().bvh().MemoryBytes();
-  const std::size_t wide_node_bytes = index.scene().bvh4().MemoryBytes();
+      scene.bvh().prim_indices().size() * sizeof(std::uint32_t);
+  const std::size_t binary_bvh_bytes = scene.bvh().MemoryBytes();
+  const std::size_t wide_node_bytes = scene.bvh4().MemoryBytes();
   const std::size_t wide_resident_bytes = wide_node_bytes + prim_index_bytes;
 
-  struct Cell {
-    const char* engine_name;
-    TraversalEngine engine;
-    bool coherent;
+  // First rays in probe order and in the order a coherence-scheduled
+  // batch fires them (the schedule is computed outside the timing).
+  std::vector<std::uint64_t> sorted;
+  std::vector<std::uint32_t> perm;
+  cgrx::core::CoherentOrder(probes.data(), probes.size(), &sorted, &perm);
+  struct Order {
+    const char* name;
+    std::vector<Ray> rays;
   };
-  const Cell cells[] = {
-      {"binary", TraversalEngine::kBinary, false},
-      {"binary", TraversalEngine::kBinary, true},
-      {"wide", TraversalEngine::kWide4, false},
-      {"wide", TraversalEngine::kWide4, true},
-  };
-  std::vector<CellResult> rows;
-  for (const Cell& cell : cells) {
-    index.set_traversal_engine(cell.engine);
-    index.set_coherent_batches(cell.coherent);
-    index.ResetStatCounters();
-    CellResult row{};
-    row.engine = cell.engine_name;
-    row.coherent = cell.coherent;
-    row.serial_lookups_per_sec =
-        MeasureLookups(index, probes, &results, ExecutionPolicy::Serial());
-    row.rays_per_lookup =
-        static_cast<double>(index.stat_counters().rays_fired.load(
-            std::memory_order_relaxed)) /
-        static_cast<double>(num_lookups);
-    row.parallel_lookups_per_sec =
-        MeasureLookups(index, probes, &results, ExecutionPolicy::Parallel());
-    rows.push_back(row);
-    std::printf(
-        "%-6s %-9s  serial %10.0f lookups/s  parallel %10.0f lookups/s  "
-        "%.2f rays/lookup\n",
-        row.engine, row.coherent ? "coherent" : "unsorted",
-        row.serial_lookups_per_sec, row.parallel_lookups_per_sec,
-        row.rays_per_lookup);
+  Order orders[] = {{"probe", {}}, {"coherent", {}}};
+  for (Order& order : orders) order.rays.reserve(num_lookups);
+  for (std::size_t i = 0; i < num_lookups; ++i) {
+    orders[0].rays.push_back(FirstRay(index.mapping(), probes[i]));
+    orders[1].rays.push_back(FirstRay(index.mapping(), sorted[i]));
+  }
+  std::vector<CastCell> cells;
+  for (const Order& order : orders) {
+    cells.push_back(MeasureCasts(
+        "binary", order.name, order.rays,
+        [&](const Ray& ray, TraversalStats* stats) {
+          return scene.CastRayBinary(ray, stats);
+        }));
+    cells.push_back(MeasureCasts(
+        "wide", order.name, order.rays,
+        [&](const Ray& ray, TraversalStats* stats) {
+          return scene.CastRay(ray, stats);
+        }));
+  }
+  for (const CastCell& cell : cells) {
+    std::printf("%-6s %-8s  %10.0f casts/s  %.2f nodes/ray\n",
+                cell.traversal, cell.order, cell.casts_per_sec,
+                cell.nodes_per_ray);
   }
 
-  const std::size_t node_sample = std::min<std::size_t>(200'000, num_lookups);
-  const double nodes_binary =
-      NodesPerRay(index, probes, node_sample, TraversalEngine::kBinary);
-  const double nodes_wide =
-      NodesPerRay(index, probes, node_sample, TraversalEngine::kWide4);
+  // The production path: coherence-scheduled batch lookups through the
+  // index (up to five rays plus the bucket search per key).
+  index.ResetStatCounters();
+  const double serial_lookups_per_sec =
+      MeasureLookups(index, probes, &results, ExecutionPolicy::Serial());
+  const double rays_per_lookup =
+      static_cast<double>(
+          index.stat_counters().rays_fired.load(std::memory_order_relaxed)) /
+      static_cast<double>(num_lookups);
+  const double parallel_lookups_per_sec =
+      MeasureLookups(index, probes, &results, ExecutionPolicy::Parallel());
+  std::printf(
+      "PointLookupBatch  serial %10.0f lookups/s  parallel %10.0f "
+      "lookups/s  %.2f rays/lookup\n",
+      serial_lookups_per_sec, parallel_lookups_per_sec, rays_per_lookup);
 
-  // Headline acceptance metric: binary+unsorted -> wide+coherent.
-  const double serial_speedup =
-      rows[3].serial_lookups_per_sec / rows[0].serial_lookups_per_sec;
-  const double parallel_speedup =
-      rows[3].parallel_lookups_per_sec / rows[0].parallel_lookups_per_sec;
   const double node_ratio = static_cast<double>(wide_node_bytes) /
                             static_cast<double>(binary_bvh_bytes);
   const double resident_ratio = static_cast<double>(wide_resident_bytes) /
                                 static_cast<double>(binary_bvh_bytes);
-  std::printf(
-      "speedup (binary+unsorted -> wide+coherent): serial %.2fx, "
-      "parallel %.2fx\n",
-      serial_speedup, parallel_speedup);
-  std::printf("nodes/ray: binary %.2f, wide %.2f; bvh bytes: binary %zu, "
-              "wide nodes %zu (%.0f%%), wide resident %zu (%.0f%%)\n",
-              nodes_binary, nodes_wide, binary_bvh_bytes, wide_node_bytes,
-              node_ratio * 100.0, wide_resident_bytes,
-              resident_ratio * 100.0);
+  std::printf("bvh bytes: binary %zu, wide nodes %zu (%.0f%%), wide "
+              "resident %zu (%.0f%%)\n",
+              binary_bvh_bytes, wide_node_bytes, node_ratio * 100.0,
+              wide_resident_bytes, resident_ratio * 100.0);
 
   std::FILE* out = std::fopen(out_path.c_str(), "w");
   if (out == nullptr) {
@@ -220,31 +222,28 @@ int main(int argc, char** argv) {
   std::fprintf(out, "  \"keys\": %zu,\n", num_keys);
   std::fprintf(out, "  \"lookups\": %zu,\n", num_lookups);
   std::fprintf(out, "  \"build_seconds\": %.3f,\n", build_seconds);
-  std::fprintf(out, "  \"configs\": [\n");
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    const CellResult& row = rows[i];
+  std::fprintf(out, "  \"first_ray_casts\": [\n");
+  for (std::size_t i = 0; i < cells.size(); ++i) {
+    const CastCell& cell = cells[i];
     std::fprintf(out,
-                 "    {\"engine\": \"%s\", \"coherent\": %s, "
-                 "\"serial_lookups_per_sec\": %.0f, "
-                 "\"parallel_lookups_per_sec\": %.0f, "
-                 "\"rays_per_lookup\": %.4f}%s\n",
-                 row.engine, row.coherent ? "true" : "false",
-                 row.serial_lookups_per_sec, row.parallel_lookups_per_sec,
-                 row.rays_per_lookup, i + 1 < rows.size() ? "," : "");
+                 "    {\"traversal\": \"%s\", \"order\": \"%s\", "
+                 "\"casts_per_sec\": %.0f, \"nodes_per_ray\": %.3f}%s\n",
+                 cell.traversal, cell.order, cell.casts_per_sec,
+                 cell.nodes_per_ray, i + 1 < cells.size() ? "," : "");
   }
   std::fprintf(out, "  ],\n");
-  std::fprintf(out, "  \"nodes_visited_per_ray\": "
-                    "{\"binary\": %.3f, \"wide\": %.3f},\n",
-               nodes_binary, nodes_wide);
+  std::fprintf(out,
+               "  \"point_lookup_batch\": {\"serial_lookups_per_sec\": %.0f, "
+               "\"parallel_lookups_per_sec\": %.0f, "
+               "\"rays_per_lookup\": %.4f},\n",
+               serial_lookups_per_sec, parallel_lookups_per_sec,
+               rays_per_lookup);
   std::fprintf(out,
                "  \"bvh_memory_bytes\": {\"binary\": %zu, "
                "\"wide_nodes\": %zu, \"wide_resident\": %zu, "
-               "\"ratio\": %.4f, \"resident_ratio\": %.4f},\n",
+               "\"ratio\": %.4f, \"resident_ratio\": %.4f}\n",
                binary_bvh_bytes, wide_node_bytes, wide_resident_bytes,
                node_ratio, resident_ratio);
-  std::fprintf(out, "  \"speedup_binary_unsorted_to_wide_coherent\": "
-                    "{\"serial\": %.4f, \"parallel\": %.4f}\n",
-               serial_speedup, parallel_speedup);
   std::fprintf(out, "}\n");
   std::fclose(out);
   std::printf("wrote %s\n", out_path.c_str());

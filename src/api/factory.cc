@@ -27,8 +27,6 @@ void RegisterBuiltins(IndexFactory<Key>* factory) {
     config.bucket_size = options.bucket_size;
     config.representation = options.representation;
     config.miss_filter_bits_per_key = options.miss_filter_bits_per_key;
-    config.traversal_engine = options.traversal_engine;
-    config.coherent_batches = options.coherent_batches;
     if (options.scaled_mapping.has_value()) {
       config.scaled_mapping = *options.scaled_mapping;
     }
@@ -39,8 +37,6 @@ void RegisterBuiltins(IndexFactory<Key>* factory) {
     core::CgrxuConfig config;
     config.node_bytes = options.node_bytes;
     config.representation = options.representation;
-    config.traversal_engine = options.traversal_engine;
-    config.coherent_batches = options.coherent_batches;
     if (options.scaled_mapping.has_value()) {
       config.scaled_mapping = *options.scaled_mapping;
     }
@@ -50,8 +46,6 @@ void RegisterBuiltins(IndexFactory<Key>* factory) {
   factory->Register("rx", [](const IndexOptions& options) {
     rx::RxConfig config;
     config.spare_capacity = options.spare_capacity;
-    config.traversal_engine = options.traversal_engine;
-    config.coherent_batches = options.coherent_batches;
     if (options.scaled_mapping.has_value()) {
       config.scaled_mapping = *options.scaled_mapping;
     }

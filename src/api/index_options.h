@@ -5,7 +5,6 @@
 #include <optional>
 
 #include "src/core/rep_scene.h"
-#include "src/rt/scene.h"
 #include "src/util/key_mapping.h"
 
 namespace cgrx::api {
@@ -52,17 +51,6 @@ struct IndexOptions {
 
   /// RX: spare vertex-buffer slots parked for insertions.
   double spare_capacity = 0.25;
-
-  /// Raytracing backends (cgRX/cgRXu/RX): traversal substrate for
-  /// lookup rays -- the collapsed quantized wide BVH (default) or the
-  /// binary reference BVH (oracle / builder ablation).
-  rt::TraversalEngine traversal_engine = rt::TraversalEngine::kWide4;
-
-  /// Raytracing backends: coherence-scheduled batch lookups. Large
-  /// batches are reordered into approximate key order before firing
-  /// rays (results scatter back to their caller-visible slots), so
-  /// consecutive lookups reuse BVH subtrees and bucket cache lines.
-  bool coherent_batches = true;
 
   /// Overrides each backend's default key mapping choice (cgRX/cgRXu
   /// default scaled, RX/RTScan unscaled, per the paper).

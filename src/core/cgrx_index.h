@@ -43,16 +43,6 @@ struct CgrxConfig {
   rt::BvhBuilder bvh_builder = rt::BvhBuilder::kBinnedSah;
   int bvh_max_leaf_size = 4;
 
-  /// Traversal substrate for lookup rays: the collapsed quantized wide
-  /// BVH (default) or the binary reference BVH (oracle / ablation).
-  rt::TraversalEngine traversal_engine = rt::TraversalEngine::kWide4;
-
-  /// Coherence-scheduled batch lookups: large batches are reordered by
-  /// (approximate) key order before firing rays, so consecutive lookups
-  /// reuse the same BVH subtree and bucket cache lines; results scatter
-  /// back to their original slots. Disable for the scheduling ablation.
-  bool coherent_batches = true;
-
   /// Extension beyond the paper: a blocked Bloom miss-filter checked
   /// before firing rays. The paper's Figure 16 shows cgRX pays the full
   /// ray + bucket-search cost for in-range misses ("cgRX should be
@@ -130,17 +120,16 @@ class CgrxIndex {
   }
 
   /// Batched point lookups, one logical device thread per query; the
-  /// policy decides serial vs. pool-parallel execution. Large batches
-  /// are coherence-scheduled (see CgrxConfig::coherent_batches): keys
-  /// are radix-ordered with their original positions, rays fire in
-  /// sorted order, and results scatter back. Stat counters accumulate
-  /// chunk-locally and merge once per chunk, keeping the shared atomics
-  /// off the timed hot loop.
+  /// policy decides serial vs. pool-parallel execution. Batches of at
+  /// least kCoherentBatchMin keys are coherence-scheduled (see
+  /// CoherentBatch): keys are radix-ordered with their original
+  /// positions, rays fire in sorted order, and results scatter back.
+  /// Stat counters accumulate chunk-locally and merge once per chunk,
+  /// keeping the shared atomics off the timed hot loop.
   void PointLookupBatch(const Key* keys, std::size_t count,
                         LookupResult* results,
                         const api::ExecutionPolicy& policy = {}) const {
-    CoherentBatch(keys, count, config_.coherent_batches, 256, policy,
-                  &counters_,
+    CoherentBatch(keys, count, 256, policy, &counters_,
                   [&](Key key, std::size_t orig, LocalLookupCounters* local,
                       rt::TraversalContext* ctx) {
                     results[orig] = PointLookupCounted(key, nullptr, local,
@@ -152,8 +141,7 @@ class CgrxIndex {
   void RangeLookupBatch(const KeyRange<Key>* ranges, std::size_t count,
                         LookupResult* results,
                         const api::ExecutionPolicy& policy = {}) const {
-    CoherentRangeBatch(ranges, count, config_.coherent_batches, 16, policy,
-                       &counters_,
+    CoherentRangeBatch(ranges, count, 16, policy, &counters_,
                        [&](std::size_t orig, LocalLookupCounters* local,
                            rt::TraversalContext* ctx) {
                          const KeyRange<Key>& r = ranges[orig];
@@ -254,17 +242,7 @@ class CgrxIndex {
     } else {
       miss_filter_ = util::BloomFilter();
     }
-    rep_scene_.set_traversal_engine(config_.traversal_engine);
   }
-
-  /// Ablation switches for the traversal microbench: flip the traversal
-  /// substrate / batch scheduling of an already-built index without a
-  /// rebuild (both BVH structures always exist).
-  void set_traversal_engine(rt::TraversalEngine engine) {
-    config_.traversal_engine = engine;
-    rep_scene_.set_traversal_engine(engine);
-  }
-  void set_coherent_batches(bool on) { config_.coherent_batches = on; }
 
   std::size_t size() const { return buckets_.size(); }
   std::size_t num_buckets() const { return rep_scene_.num_buckets(); }
@@ -366,7 +344,6 @@ class CgrxIndex {
     options.enable_flipping = config_.enable_flipping;
     options.bvh_builder = config_.bvh_builder;
     options.bvh_max_leaf_size = config_.bvh_max_leaf_size;
-    options.traversal_engine = config_.traversal_engine;
     rep_scene_.Build(reps, movable, mapping_, options);
   }
 

@@ -32,10 +32,6 @@ struct CgrxuConfig {
   bool enable_flipping = true;
   rt::BvhBuilder bvh_builder = rt::BvhBuilder::kBinnedSah;
   int bvh_max_leaf_size = 4;
-  /// Traversal substrate for lookup rays (wide default, binary oracle).
-  rt::TraversalEngine traversal_engine = rt::TraversalEngine::kWide4;
-  /// Coherence-scheduled batch lookups (see CgrxConfig).
-  bool coherent_batches = true;
   std::optional<util::KeyMapping> mapping_override;
 };
 
@@ -179,7 +175,6 @@ class CgrxuIndex {
     options.enable_flipping = config_.enable_flipping;
     options.bvh_builder = config_.bvh_builder;
     options.bvh_max_leaf_size = config_.bvh_max_leaf_size;
-    options.traversal_engine = config_.traversal_engine;
     rep_scene_.Build(reps, movable, mapping_, options);
   }
 
@@ -202,14 +197,14 @@ class CgrxuIndex {
     return result;
   }
 
-  /// Batched point lookups; large batches are coherence-scheduled (see
-  /// CgrxConfig::coherent_batches): rays fire in approximate key order
-  /// and results scatter back to their original slots.
+  /// Batched point lookups; batches of at least kCoherentBatchMin keys
+  /// are coherence-scheduled (see CoherentBatch): rays fire in
+  /// approximate key order and results scatter back to their original
+  /// slots.
   void PointLookupBatch(const Key* keys, std::size_t count,
                         LookupResult* results,
                         const api::ExecutionPolicy& policy = {}) const {
-    CoherentBatch(keys, count, config_.coherent_batches, 256, policy,
-                  &counters_,
+    CoherentBatch(keys, count, 256, policy, &counters_,
                   [&](Key key, std::size_t orig, LocalLookupCounters* local,
                       rt::TraversalContext* ctx) {
                     results[orig] = LookupCounted(key, key, nullptr, local,
@@ -221,8 +216,7 @@ class CgrxuIndex {
   void RangeLookupBatch(const KeyRange<Key>* ranges, std::size_t count,
                         LookupResult* results,
                         const api::ExecutionPolicy& policy = {}) const {
-    CoherentRangeBatch(ranges, count, config_.coherent_batches, 16, policy,
-                       &counters_,
+    CoherentRangeBatch(ranges, count, 16, policy, &counters_,
                        [&](std::size_t orig, LocalLookupCounters* local,
                            rt::TraversalContext* ctx) {
                          const KeyRange<Key>& r = ranges[orig];
@@ -269,11 +263,15 @@ class CgrxuIndex {
     std::vector<std::int64_t> delta(slices.size(), 0);
     policy.For(slices.size(), kWaveGrain, [&](std::size_t s) {
       const WaveSlice& slice = slices[s];
+      // Each side of a slice ascends, so each walk resumes where the
+      // previous key's walk stopped instead of at the bucket head.
+      std::uint32_t node = slice.bucket;
       for (std::size_t i = slice.del_lo; i < slice.del_hi; ++i) {
-        if (DeleteOne(slice.bucket, delete_keys[i])) --delta[s];
+        if (DeleteOne(&node, delete_keys[i])) --delta[s];
       }
+      node = slice.bucket;
       for (std::size_t i = slice.ins_lo; i < slice.ins_hi; ++i) {
-        InsertOne(slice.bucket, insert_keys[i], insert_rows[i]);
+        node = InsertOne(node, insert_keys[i], insert_rows[i]);
         ++delta[s];
       }
     });
@@ -392,7 +390,6 @@ class CgrxuIndex {
     rep_keys_ = reps.ReadPodVector<Key>();
     util::ByteReader scene = in.Section("cgrxu.scene");
     rep_scene_.LoadState(&scene);
-    rep_scene_.set_traversal_engine(config_.traversal_engine);
   }
 
  private:
@@ -531,14 +528,20 @@ class CgrxuIndex {
     return node;
   }
 
-  /// Deletes one instance of `key` from `bucket`; returns whether an
-  /// instance existed. maxKey fields are routing boundaries and stay
-  /// untouched by deletion (a node may become empty but keeps routing).
-  bool DeleteOne(std::uint32_t bucket, Key key) {
-    std::uint32_t node = bucket;  // Representative node index == bucket.
+  /// Deletes one instance of `key` from the chain at `*start` (a
+  /// bucket's representative node, or a node at which an earlier,
+  /// smaller key of the same wave slice stopped); returns whether an
+  /// instance existed. `*start` advances to the first node with
+  /// maxKey >= key: every node it skips has maxKey < key. maxKey fields
+  /// are routing boundaries and stay untouched by deletion (a node may
+  /// become empty but keeps routing).
+  bool DeleteOne(std::uint32_t* start, Key key) {
+    std::uint32_t node = *start;
     while (node != kInvalidNode && meta_[node].max_key < key) {
       node = meta_[node].next;
     }
+    if (node == kInvalidNode) return false;
+    *start = node;
     while (node != kInvalidNode) {
       Key* keys = NodeKeys(node);
       std::uint32_t* rows = NodeRows(node);
@@ -565,11 +568,13 @@ class CgrxuIndex {
     return false;
   }
 
-  /// Inserts (key, row) into `bucket`, splitting a full node (paper:
-  /// the new node receives the old node's maxKey, the old node's largest
-  /// remaining key becomes its new maxKey).
-  void InsertOne(std::uint32_t bucket, Key key, std::uint32_t row) {
-    std::uint32_t node = bucket;
+  /// Inserts (key, row) into the chain at `start` (as for DeleteOne),
+  /// splitting a full node (paper: the new node receives the old node's
+  /// maxKey, the old node's largest remaining key becomes its new
+  /// maxKey). Returns the node the key went into, where the walk of the
+  /// slice's next key may start.
+  std::uint32_t InsertOne(std::uint32_t start, Key key, std::uint32_t row) {
+    std::uint32_t node = start;
     while (meta_[node].max_key < key) {
       assert(meta_[node].next != kInvalidNode);
       node = meta_[node].next;
@@ -608,6 +613,7 @@ class CgrxuIndex {
     keys[idx] = key;
     rows[idx] = row;
     ++m.size;
+    return node;
   }
 
   /// Aggregates all entries with keys in [lo, hi], starting at

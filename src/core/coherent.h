@@ -89,17 +89,17 @@ void CoherentOrder(const Key* keys, std::size_t count,
 
 /// Shared batch driver of the three raytracing indexes: executes
 /// `body(key, original_position, &local_counters, &traversal_context)`
-/// for every batch element, coherence-scheduled when enabled and the
-/// batch is large enough, with one TraversalContext and one local
-/// counter accumulator per chunk (merged into `counters` once per
-/// chunk). Results must be written to disjoint slots via
+/// for every batch element, coherence-scheduled exactly when the batch
+/// holds at least kCoherentBatchMin keys, with one TraversalContext and
+/// one local counter accumulator per chunk (merged into `counters` once
+/// per chunk). Results must be written to disjoint slots via
 /// `original_position`, which keeps parallel, serial, coherent and
-/// unsorted execution byte-identical.
+/// batch-order execution byte-identical.
 template <typename Key, typename Body>
-void CoherentBatch(const Key* keys, std::size_t count, bool coherent,
-                   std::size_t grain, const api::ExecutionPolicy& policy,
+void CoherentBatch(const Key* keys, std::size_t count, std::size_t grain,
+                   const api::ExecutionPolicy& policy,
                    LookupCounters* counters, Body&& body) {
-  if (coherent && count >= kCoherentBatchMin) {
+  if (count >= kCoherentBatchMin) {
     std::vector<Key> sorted;
     std::vector<std::uint32_t> perm;
     CoherentOrder(keys, count, &sorted, &perm, policy);
@@ -125,18 +125,17 @@ void CoherentBatch(const Key* keys, std::size_t count, bool coherent,
 
 /// Range-batch variant: schedules by each range's lower bound. The
 /// lower-bound key copy is only materialized when coherence scheduling
-/// actually runs; the unsorted path iterates the ranges directly.
+/// actually runs; a smaller batch iterates the ranges directly.
 /// `body(original_position, &local_counters, &traversal_context)` reads
 /// its range from the caller's array.
 template <typename Key, typename Body>
 void CoherentRangeBatch(const KeyRange<Key>* ranges, std::size_t count,
-                        bool coherent, std::size_t grain,
-                        const api::ExecutionPolicy& policy,
+                        std::size_t grain, const api::ExecutionPolicy& policy,
                         LookupCounters* counters, Body&& body) {
-  if (coherent && count >= kCoherentBatchMin) {
+  if (count >= kCoherentBatchMin) {
     std::vector<Key> lo_keys(count);
     for (std::size_t i = 0; i < count; ++i) lo_keys[i] = ranges[i].lo;
-    CoherentBatch(lo_keys.data(), count, true, grain, policy, counters,
+    CoherentBatch(lo_keys.data(), count, grain, policy, counters,
                   [&](Key, std::size_t orig, LocalLookupCounters* local,
                       rt::TraversalContext* ctx) { body(orig, local, ctx); });
     return;

@@ -17,7 +17,6 @@ void RepScene::Build(const std::vector<std::uint64_t>& reps,
   dy_ = mapping_.y_bits() > 0 ? 0.5f * mapping_.step_y() : 0.5f;
   dz_ = mapping_.z_bits() > 0 ? 0.5f * mapping_.step_z() : 0.5f;
   scene_ = rt::Scene();
-  scene_.set_traversal_engine(options_.traversal_engine);
   num_buckets_ = static_cast<std::uint32_t>(reps.size());
   if (reps.empty()) {
     min_rep_ = max_rep_ = 0;
@@ -359,7 +358,6 @@ void RepScene::SaveState(util::ByteWriter* out) const {
   out->WriteBool(options_.enable_flipping);
   out->WriteU8(static_cast<std::uint8_t>(options_.bvh_builder));
   out->WriteI32(options_.bvh_max_leaf_size);
-  out->WriteU8(static_cast<std::uint8_t>(options_.traversal_engine));
   out->WriteI32(mapping_.x_bits());
   out->WriteI32(mapping_.y_bits());
   out->WriteI32(mapping_.z_bits());
@@ -378,7 +376,6 @@ void RepScene::LoadState(util::ByteReader* in) {
   options_.enable_flipping = in->ReadBool();
   options_.bvh_builder = static_cast<rt::BvhBuilder>(in->ReadU8());
   options_.bvh_max_leaf_size = in->ReadI32();
-  options_.traversal_engine = static_cast<rt::TraversalEngine>(in->ReadU8());
   const int x_bits = in->ReadI32();
   const int y_bits = in->ReadI32();
   const int z_bits = in->ReadI32();

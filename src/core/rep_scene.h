@@ -36,9 +36,6 @@ class RepScene {
     bool enable_flipping = true;
     rt::BvhBuilder bvh_builder = rt::BvhBuilder::kBinnedSah;
     int bvh_max_leaf_size = 4;
-    /// Traversal substrate for lookup rays (wide = default hot path,
-    /// binary = reference oracle / ablation).
-    rt::TraversalEngine traversal_engine = rt::TraversalEngine::kWide4;
   };
 
   /// Builds the scene.
@@ -61,13 +58,6 @@ class RepScene {
   std::optional<std::uint32_t> Locate(std::uint64_t key,
                                       int* rays_used = nullptr,
                                       rt::TraversalContext* ctx = nullptr) const;
-
-  /// Ablation switch: flips the traversal substrate of the already
-  /// built scene (both acceleration structures always exist).
-  void set_traversal_engine(rt::TraversalEngine engine) {
-    options_.traversal_engine = engine;
-    scene_.set_traversal_engine(engine);
-  }
 
   std::uint32_t num_buckets() const { return num_buckets_; }
   bool multi_line() const { return multi_line_; }

@@ -13,7 +13,7 @@
 namespace cgrx::rt {
 
 /// Collapsed 4-wide BVH with quantized child bounds -- the compact
-/// traversal structure used by the default (wide) traversal engine.
+/// structure every lookup ray traverses.
 ///
 /// The binary Bvh stays the build/refit substrate (its topology is what
 /// hardware builders produce and what the builder ablation measures);

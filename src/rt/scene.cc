@@ -104,12 +104,11 @@ struct AxisRayPolicy {
   }
 
   /// Quantized-child box test on the two membership axes plus the ray
-  /// axis interval for all four children in one pass, SIMD-ized over
-  /// the node's cache line (src/rt/wide_slab.h) with a pinned-equal
-  /// scalar fallback. Dequantizes only the planes it compares -- the
-  /// exact float expressions the quantizer's fix-up loops verified, so
-  /// conservativeness carries over bit-for-bit. No inverted-bounds
-  /// check needed: an inverted child yields lo > hi here.
+  /// axis interval for all four children in one pass over the node's
+  /// cache line (src/rt/wide_slab.h). Dequantizes only the planes it
+  /// compares -- the exact float expressions the quantizer's fix-up
+  /// loops verified, so conservativeness carries over bit-for-bit. No
+  /// inverted-bounds check needed: an inverted child yields lo > hi.
   int WideChildrenHit(const Bvh4::Node& node, const float* scale,
                       double t_min, double t_max,
                       double t_entry[Bvh4::kWidth]) const {
@@ -170,7 +169,7 @@ decltype(auto) WithPolicy(const Ray& ray, Fn&& fn) {
   }
 }
 
-/// Closest-hit accumulator shared by both engines: deterministic
+/// Closest-hit accumulator shared by both traversals: deterministic
 /// tie-break on equal t (lowest primitive index wins), so wide and
 /// binary traversal return identical hits regardless of visit order.
 struct ClosestHit {
@@ -431,37 +430,8 @@ void Scene::CastRayCollectAllBinary(const Ray& ray, std::vector<Hit>* hits,
   });
 }
 
-std::optional<Hit> Scene::CastRayWide(const Ray& ray,
-                                      TraversalStats* stats) const {
-  if (bvh4_.empty()) return std::nullopt;
-  Hit hit;
-  TraversalContext ctx;
-  const bool found = WithPolicy(ray, [&](const auto& policy) {
-    return CastClosest4(soup_, bvh4_, bvh_.prim_indices().data(), policy,
-                        ray.t_min, ray.t_max, &hit, ctx.stack_, stats);
-  });
-  if (!found) return std::nullopt;
-  return hit;
-}
-
-void Scene::CastRayCollectAllWide(const Ray& ray, std::vector<Hit>* hits,
-                                  TraversalStats* stats) const {
-  if (bvh4_.empty()) return;
-  TraversalContext ctx;
-  WithPolicy(ray, [&](const auto& policy) {
-    CastAll4(soup_, bvh4_, bvh_.prim_indices().data(), policy, ray.t_min,
-             ray.t_max, hits, ctx.stack_, stats);
-  });
-}
-
 bool Scene::CastRayInto(const Ray& ray, Hit* hit, TraversalContext* ctx,
                         TraversalStats* stats) const {
-  if (engine_ == TraversalEngine::kBinary) {
-    const std::optional<Hit> result = CastRayBinary(ray, stats);
-    if (!result.has_value()) return false;
-    *hit = *result;
-    return true;
-  }
   if (bvh4_.empty()) return false;
   TraversalContext local;
   detail::TraversalStackEntry* stack =
@@ -474,26 +444,24 @@ bool Scene::CastRayInto(const Ray& ray, Hit* hit, TraversalContext* ctx,
 
 std::optional<Hit> Scene::CastRay(const Ray& ray,
                                   TraversalStats* stats) const {
-  if (engine_ == TraversalEngine::kBinary) return CastRayBinary(ray, stats);
-  return CastRayWide(ray, stats);
+  Hit hit;
+  if (!CastRayInto(ray, &hit, nullptr, stats)) return std::nullopt;
+  return hit;
 }
 
 void Scene::CastRayCollectAll(const Ray& ray, std::vector<Hit>* hits,
                               TraversalStats* stats) const {
-  if (engine_ == TraversalEngine::kBinary) {
-    CastRayCollectAllBinary(ray, hits, stats);
-    return;
-  }
-  CastRayCollectAllWide(ray, hits, stats);
+  if (bvh4_.empty()) return;
+  TraversalContext local;
+  WithPolicy(ray, [&](const auto& policy) {
+    CastAll4(soup_, bvh4_, bvh_.prim_indices().data(), policy, ray.t_min,
+             ray.t_max, hits, local.stack_, stats);
+  });
 }
 
 void Scene::CastRayCollectAll(const Ray& ray, TraversalContext* ctx,
                               TraversalStats* stats) const {
   ctx->hits.clear();
-  if (engine_ == TraversalEngine::kBinary) {
-    CastRayCollectAllBinary(ray, &ctx->hits, stats);
-    return;
-  }
   if (bvh4_.empty()) return;
   WithPolicy(ray, [&](const auto& policy) {
     CastAll4(soup_, bvh4_, bvh_.prim_indices().data(), policy, ray.t_min,
@@ -501,25 +469,13 @@ void Scene::CastRayCollectAll(const Ray& ray, TraversalContext* ctx,
   });
 }
 
-void Scene::CastRays(const Ray* rays, std::size_t count, Hit* hits,
-                     std::uint8_t* hit_mask, TraversalContext* ctx,
-                     TraversalStats* stats) const {
-  TraversalContext local;
-  if (ctx == nullptr) ctx = &local;
-  for (std::size_t i = 0; i < count; ++i) {
-    hit_mask[i] = CastRayInto(rays[i], &hits[i], ctx, stats) ? 1 : 0;
-  }
-}
-
 void Scene::SaveState(util::ByteWriter* out) const {
-  out->WriteU8(static_cast<std::uint8_t>(engine_));
   out->WritePodVector(soup_.raw_vertices());
   bvh_.SaveState(out);
   bvh4_.SaveState(out);
 }
 
 void Scene::LoadState(util::ByteReader* in) {
-  engine_ = static_cast<TraversalEngine>(in->ReadU8());
   soup_.RestoreRaw(in->ReadPodVector<float>());
   bvh_.LoadState(in);
   bvh4_.LoadState(in);

@@ -25,15 +25,6 @@ struct TraversalStats {
   }
 };
 
-/// Which traversal substrate executes a cast. The wide engine walks the
-/// collapsed 4-ary quantized Bvh4 (the default hot path); the binary
-/// engine walks the original two-wide BVH and is retained as the
-/// reference oracle for equivalence tests and the builder ablation.
-enum class TraversalEngine {
-  kBinary,
-  kWide4,
-};
-
 namespace detail {
 /// One traversal stack slot: a node index plus its ray entry distance
 /// (ignored by unordered collect-all walks).
@@ -71,13 +62,14 @@ class TraversalContext {
 ///  * CastRay()/CastRayInto() mirror optixTrace with closest-hit
 ///    semantics,
 ///  * CastRayCollectAll() mirrors an any-hit program that ignores every
-///    intersection to enumerate all hits (RX range lookups),
-///  * CastRays() mirrors a one-thread-per-ray kernel launch over a ray
-///    batch.
+///    intersection to enumerate all hits (RX range lookups).
 ///
+/// Lookup rays traverse the collapsed 4-ary quantized Bvh4. The binary
+/// BVH it is flattened from stays as the build and refit substrate and
+/// as the reference oracle (CastRayBinary/CastRayCollectAllBinary).
 /// Closest-hit casts break ties on the ray parameter deterministically
-/// (lowest primitive index wins), so both engines return bit-identical
-/// results regardless of traversal order.
+/// (lowest primitive index wins), so both traversals return
+/// bit-identical results regardless of visit order.
 class Scene {
  public:
   /// Appends a triangle; returns its primitive index.
@@ -101,8 +93,8 @@ class Scene {
   }
 
   /// (Re)builds the acceleration structures from scratch: the binary
-  /// BVH is the build substrate, then flattened into the wide Bvh4 the
-  /// default engine traverses.
+  /// BVH is the build substrate, then flattened into the wide Bvh4 that
+  /// lookup rays traverse.
   void Build(BvhBuilder builder = BvhBuilder::kBinnedSah,
              int max_leaf_size = 4) {
     bvh_.Build(soup_, builder, max_leaf_size);
@@ -110,7 +102,7 @@ class Scene {
   }
 
   /// Refits bounds only; topology (and therefore lookup cost) keeps the
-  /// structure of the last full Build() in both engines: the binary BVH
+  /// structure of the last full Build() in both BVHs: the binary BVH
   /// refits bottom-up, the wide BVH requantizes its child bounds from
   /// the refitted binary nodes without re-collapsing.
   void Refit() {
@@ -118,12 +110,7 @@ class Scene {
     bvh4_.Refit(bvh_);
   }
 
-  /// Selects the traversal substrate for the engine-dispatching entry
-  /// points below (ablation/oracle switch; default wide).
-  void set_traversal_engine(TraversalEngine engine) { engine_ = engine; }
-  TraversalEngine traversal_engine() const { return engine_; }
-
-  /// Closest hit along `ray`, or nullopt (engine-dispatching).
+  /// Closest hit along `ray`, or nullopt.
   std::optional<Hit> CastRay(const Ray& ray,
                              TraversalStats* stats = nullptr) const;
 
@@ -141,24 +128,12 @@ class Scene {
   void CastRayCollectAll(const Ray& ray, TraversalContext* ctx,
                          TraversalStats* stats = nullptr) const;
 
-  /// Batch closest-hit cast, one logical device thread per ray:
-  /// hit_mask[i] receives 1 when hits[i] was filled. All rays share one
-  /// context, eliminating the per-ray stack/optional overhead of
-  /// repeated CastRay() calls.
-  void CastRays(const Ray* rays, std::size_t count, Hit* hits,
-                std::uint8_t* hit_mask, TraversalContext* ctx = nullptr,
-                TraversalStats* stats = nullptr) const;
-
-  /// Fixed-engine entry points (equivalence tests, microbench). The
-  /// binary pair is the reference oracle.
+  /// The same two casts over the binary BVH: the reference oracle of
+  /// the equivalence tests and the microbenchmarks' baseline.
   std::optional<Hit> CastRayBinary(const Ray& ray,
                                    TraversalStats* stats = nullptr) const;
   void CastRayCollectAllBinary(const Ray& ray, std::vector<Hit>* hits,
                                TraversalStats* stats = nullptr) const;
-  std::optional<Hit> CastRayWide(const Ray& ray,
-                                 TraversalStats* stats = nullptr) const;
-  void CastRayCollectAllWide(const Ray& ray, std::vector<Hit>* hits,
-                             TraversalStats* stats = nullptr) const;
 
   const TriangleSoup& soup() const { return soup_; }
   const Bvh& bvh() const { return bvh_; }
@@ -166,28 +141,24 @@ class Scene {
   std::size_t triangle_count() const { return soup_.size(); }
 
   /// Vertex buffer + acceleration structure bytes (the scene part of an
-  /// index's permanent memory footprint). Counts the structure the
-  /// configured engine traverses -- the binary BVH additionally held as
-  /// build/refit scaffolding and oracle is host-side bookkeeping, not
-  /// device-resident state, matching how hardware keeps only the final
-  /// acceleration structure on the device. The wide engine shares the
-  /// binary builder's packed primitive index array, which is therefore
-  /// part of its resident footprint.
+  /// index's permanent memory footprint). Counts the wide structure
+  /// lookups traverse -- the binary BVH additionally held as build/refit
+  /// scaffolding and oracle is host-side bookkeeping, not device-resident
+  /// state, matching how hardware keeps only the final acceleration
+  /// structure on the device. The wide BVH shares the binary builder's
+  /// packed primitive index array, which is therefore part of its
+  /// resident footprint.
   std::size_t MemoryFootprintBytes() const {
-    const std::size_t structure =
-        engine_ == TraversalEngine::kBinary
-            ? bvh_.MemoryBytes()
-            : bvh4_.MemoryBytes() +
-                  bvh_.prim_indices().size() * sizeof(std::uint32_t);
-    return soup_.MemoryBytes() + structure;
+    return soup_.MemoryBytes() + bvh4_.MemoryBytes() +
+           bvh_.prim_indices().size() * sizeof(std::uint32_t);
   }
 
   void Reserve(std::size_t triangles) { soup_.Reserve(triangles); }
 
-  /// Serializes the vertex buffer, both acceleration structures and the
-  /// engine selection. Loading restores the exact built state -- the
-  /// binary BVH and the quantized wide BVH come back byte-identical, so
-  /// no rebuild (and no collapse/quantization) runs on open.
+  /// Serializes the vertex buffer and both acceleration structures.
+  /// Loading restores the exact built state -- the binary BVH and the
+  /// quantized wide BVH come back byte-identical, so no rebuild (and no
+  /// collapse/quantization) runs on open.
   void SaveState(util::ByteWriter* out) const;
   void LoadState(util::ByteReader* in);
 
@@ -195,7 +166,6 @@ class Scene {
   TriangleSoup soup_;
   Bvh bvh_;
   Bvh4 bvh4_;
-  TraversalEngine engine_ = TraversalEngine::kWide4;
 };
 
 }  // namespace cgrx::rt

@@ -2,7 +2,6 @@
 #define CGRX_SRC_RT_WIDE_SLAB_H_
 
 #include <algorithm>
-#include <cstdint>
 
 #include "src/rt/bvh4.h"
 
@@ -14,39 +13,21 @@ namespace cgrx::rt::detail {
 /// returns a hit bitmask, writing each hit child's entry distance to
 /// `t_entry[c]`.
 ///
-/// Two implementations share this contract:
+/// Membership comparisons on the two fixed axes, then an interval test
+/// on the ray axis. Every plane is dequantized with the exact float
+/// expression the quantizer's fix-up loops verified (origin + q * 2^e,
+/// whose product term is exact), so conservativeness carries over bit
+/// for bit; the comparisons run in double like the binary slab test.
+/// A refit-emptied child (qlo > qhi) fails the membership or interval
+/// test, and lanes past num_children are never read.
 ///
-///  * WideAxisChildrenScalar -- the reference, lifted verbatim from the
-///    per-child AxisRayPolicy test: membership comparisons on the two
-///    fixed axes, an interval test on the ray axis, all planes
-///    dequantized with the exact float expressions the quantizer's
-///    fix-up loops verified.
-///  * WideAxisChildrenSimd -- the same arithmetic over GCC/Clang
-///    portable vector extensions (compiling to SSE on x86, NEON on ARM,
-///    synthesized scalar code elsewhere). Exactness carries over
-///    because every dequantized plane is the float sum
-///    origin + q * 2^e whose product term is exact (q fits 8 bits of
-///    mantissa, the scale is a power of two), so vector float mul+add,
-///    scalar float mul+add and a contracted FMA all round identically;
-///    the comparisons then run in double exactly like the scalar path.
-///    bvh4_test pins SIMD == scalar over randomized nodes and rays.
-///
-/// WideAxisChildren dispatches to SIMD when available. `A` is the ray
-/// axis; `oa/ou/ov` are the ray origin components on the ray axis and
-/// the two membership axes ((A+1)%3, (A+2)%3); `scale` caches the
-/// node's per-axis dequantization scales.
-
-#if defined(__GNUC__) && !defined(CGRX_DISABLE_SIMD)
-#define CGRX_WIDE_SLAB_SIMD 1
-#else
-#define CGRX_WIDE_SLAB_SIMD 0
-#endif
-
+/// `A` is the ray axis; `oa/ou/ov` are the ray origin components on the
+/// ray axis and the two membership axes ((A+1)%3, (A+2)%3); `scale`
+/// caches the node's per-axis dequantization scales.
 template <int A>
-inline int WideAxisChildrenScalar(const Bvh4::Node& node,
-                                  const float scale[3], double oa, double ou,
-                                  double ov, double t_min, double t_max,
-                                  double t_entry[Bvh4::kWidth]) {
+inline int WideAxisChildren(const Bvh4::Node& node, const float scale[3],
+                            double oa, double ou, double ov, double t_min,
+                            double t_max, double t_entry[Bvh4::kWidth]) {
   constexpr int kU = (A + 1) % 3;
   constexpr int kV = (A + 2) % 3;
   int mask = 0;
@@ -80,81 +61,6 @@ inline int WideAxisChildrenScalar(const Bvh4::Node& node,
     mask |= 1 << c;
   }
   return mask;
-}
-
-#if CGRX_WIDE_SLAB_SIMD
-
-namespace simd {
-
-typedef float Vf4 __attribute__((vector_size(16)));
-typedef double Vd4 __attribute__((vector_size(32)));
-typedef std::int64_t Vl4 __attribute__((vector_size(32)));
-
-/// Dequantizes one 4-byte quantized row into double planes:
-/// (double)(origin + (float)q * scale), per lane -- bit-identical to
-/// the scalar expression (see file comment on exactness).
-inline Vd4 Planes(float origin, float scale, const std::uint8_t q[4]) {
-  const Vf4 qv = {static_cast<float>(q[0]), static_cast<float>(q[1]),
-                  static_cast<float>(q[2]), static_cast<float>(q[3])};
-  const Vf4 planes = origin + qv * scale;
-  return __builtin_convertvector(planes, Vd4);
-}
-
-inline Vd4 Broadcast(double v) { return Vd4{v, v, v, v}; }
-
-inline Vd4 Max(Vd4 a, Vd4 b) { return a > b ? a : b; }
-inline Vd4 Min(Vd4 a, Vd4 b) { return a < b ? a : b; }
-
-}  // namespace simd
-
-template <int A>
-inline int WideAxisChildrenSimd(const Bvh4::Node& node, const float scale[3],
-                                double oa, double ou, double ov, double t_min,
-                                double t_max,
-                                double t_entry[Bvh4::kWidth]) {
-  constexpr int kU = (A + 1) % 3;
-  constexpr int kV = (A + 2) % 3;
-  const simd::Vd4 ou_v = simd::Broadcast(ou);
-  const simd::Vd4 ov_v = simd::Broadcast(ov);
-  // Membership on the two fixed axes.
-  simd::Vl4 ok =
-      (ou_v >= simd::Planes(node.origin[kU], scale[kU], node.qlo[kU])) &
-      (ou_v <= simd::Planes(node.origin[kU], scale[kU], node.qhi[kU])) &
-      (ov_v >= simd::Planes(node.origin[kV], scale[kV], node.qlo[kV])) &
-      (ov_v <= simd::Planes(node.origin[kV], scale[kV], node.qhi[kV]));
-  // Entry/exit interval on the ray axis.
-  const simd::Vd4 lo = simd::Max(
-      simd::Broadcast(t_min),
-      simd::Planes(node.origin[A], scale[A], node.qlo[A]) -
-          simd::Broadcast(oa));
-  const simd::Vd4 hi = simd::Min(
-      simd::Broadcast(t_max),
-      simd::Planes(node.origin[A], scale[A], node.qhi[A]) -
-          simd::Broadcast(oa));
-  ok &= lo <= hi;
-  int mask = 0;
-  for (int c = 0; c < node.num_children; ++c) {
-    if (ok[c] != 0) {
-      t_entry[c] = lo[c];
-      mask |= 1 << c;
-    }
-  }
-  return mask;
-}
-
-#endif  // CGRX_WIDE_SLAB_SIMD
-
-template <int A>
-inline int WideAxisChildren(const Bvh4::Node& node, const float scale[3],
-                            double oa, double ou, double ov, double t_min,
-                            double t_max, double t_entry[Bvh4::kWidth]) {
-#if CGRX_WIDE_SLAB_SIMD
-  return WideAxisChildrenSimd<A>(node, scale, oa, ou, ov, t_min, t_max,
-                                 t_entry);
-#else
-  return WideAxisChildrenScalar<A>(node, scale, oa, ou, ov, t_min, t_max,
-                                   t_entry);
-#endif
 }
 
 }  // namespace cgrx::rt::detail

@@ -29,10 +29,6 @@ struct RxConfig {
 
   rt::BvhBuilder bvh_builder = rt::BvhBuilder::kBinnedSah;
   int bvh_max_leaf_size = 4;
-  /// Traversal substrate for lookup rays (wide default, binary oracle).
-  rt::TraversalEngine traversal_engine = rt::TraversalEngine::kWide4;
-  /// Coherence-scheduled batch lookups (see core::CgrxConfig).
-  bool coherent_batches = true;
   std::optional<util::KeyMapping> mapping_override;
 };
 
@@ -79,7 +75,6 @@ class RxIndex {
   void Build(std::vector<Key> keys, std::vector<std::uint32_t> row_ids) {
     assert(keys.size() == row_ids.size());
     scene_ = rt::Scene();
-    scene_.set_traversal_engine(config_.traversal_engine);
     key_of_slot_.clear();
     row_of_slot_.clear();
     free_slots_.clear();
@@ -126,15 +121,14 @@ class RxIndex {
     return result;
   }
 
-  /// Batched point lookups; large batches are coherence-scheduled (see
-  /// core::CgrxConfig::coherent_batches): rays fire in approximate key
-  /// order so consecutive lookups hit neighbouring triangles, and
-  /// results scatter back to their original slots.
+  /// Batched point lookups; batches of at least core::kCoherentBatchMin
+  /// keys are coherence-scheduled (see core::CoherentBatch): rays fire
+  /// in approximate key order so consecutive lookups hit neighbouring
+  /// triangles, and results scatter back to their original slots.
   void PointLookupBatch(const Key* keys, std::size_t count,
                         core::LookupResult* results,
                         const api::ExecutionPolicy& policy = {}) const {
-    core::CoherentBatch(keys, count, config_.coherent_batches, 256, policy,
-                        &counters_,
+    core::CoherentBatch(keys, count, 256, policy, &counters_,
                         [&](Key key, std::size_t orig,
                             core::LocalLookupCounters* local,
                             rt::TraversalContext* ctx) {
@@ -146,8 +140,7 @@ class RxIndex {
   void RangeLookupBatch(const core::KeyRange<Key>* ranges, std::size_t count,
                         core::LookupResult* results,
                         const api::ExecutionPolicy& policy = {}) const {
-    core::CoherentRangeBatch(ranges, count, config_.coherent_batches, 16,
-                             policy, &counters_,
+    core::CoherentRangeBatch(ranges, count, 16, policy, &counters_,
                              [&](std::size_t orig,
                                  core::LocalLookupCounters* local,
                                  rt::TraversalContext* ctx) {
@@ -287,7 +280,6 @@ class RxIndex {
     free_slots_ = r.ReadPodVector<std::uint32_t>();
     util::ByteReader scene = in.Section("rx.scene");
     scene_.LoadState(&scene);
-    scene_.set_traversal_engine(config_.traversal_engine);
   }
 
  private:

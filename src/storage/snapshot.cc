@@ -12,8 +12,6 @@ void EncodeIndexOptions(const api::IndexOptions& options,
   out->WriteU32(options.node_bytes);
   out->WriteDouble(options.load_factor);
   out->WriteDouble(options.spare_capacity);
-  out->WriteU8(static_cast<std::uint8_t>(options.traversal_engine));
-  out->WriteBool(options.coherent_batches);
   out->WriteU8(options.scaled_mapping.has_value()
                    ? (*options.scaled_mapping ? 2 : 1)
                    : 0);
@@ -38,8 +36,6 @@ api::IndexOptions DecodeIndexOptions(util::ByteReader* in) {
   options.node_bytes = in->ReadU32();
   options.load_factor = in->ReadDouble();
   options.spare_capacity = in->ReadDouble();
-  options.traversal_engine = static_cast<rt::TraversalEngine>(in->ReadU8());
-  options.coherent_batches = in->ReadBool();
   const std::uint8_t scaled = in->ReadU8();
   if (scaled != 0) options.scaled_mapping = scaled == 2;
   options.shard_count = in->ReadU32();

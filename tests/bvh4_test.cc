@@ -1,13 +1,16 @@
-// Equivalence suite for the wide (Bvh4) traversal engine against the
-// retained binary reference oracle: identical closest hits and
-// identical collect-all hit sets across all three builders, both scene
-// representations, flipping on/off, and post-Refit scenes; plus the
-// Bvh4 compression guarantee and the coherent-vs-unsorted batch
-// determinism contract.
+// Equivalence suite for the wide (Bvh4) traversal that every lookup ray
+// takes, against the binary BVH it is built from, kept as the reference
+// oracle: identical closest hits and identical collect-all hit sets
+// across all three builders, both scene representations, flipping
+// on/off, and post-Refit scenes; lookups of cgRX, cgRXu and RX against a
+// std::multimap oracle; the Bvh4 compression guarantee; and the
+// coherent-batch determinism contract.
 #include <algorithm>
 #include <cstdint>
 #include <cstring>
+#include <map>
 #include <optional>
+#include <set>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -36,18 +39,18 @@ using ::cgrx::rt::BvhBuilder;
 using ::cgrx::rt::Hit;
 using ::cgrx::rt::Ray;
 using ::cgrx::rt::Scene;
-using ::cgrx::rt::TraversalEngine;
 using ::cgrx::rt::Vec3f;
 using ::cgrx::rx::RxConfig;
 using ::cgrx::rx::RxIndex64;
 using ::cgrx::util::Rng;
 
-// Compares closest-hit and collect-all results of the two engines for
-// one ray. Collect-all order is traversal-dependent, so hit sets are
-// compared sorted by primitive index.
-void ExpectEngineEquivalence(const Scene& scene, const Ray& ray) {
+// Compares closest-hit and collect-all results of the wide traversal
+// with the binary oracle for one ray. Collect-all order is
+// traversal-dependent, so hit sets are compared sorted by primitive
+// index.
+void ExpectMatchesBinaryOracle(const Scene& scene, const Ray& ray) {
   const std::optional<Hit> binary = scene.CastRayBinary(ray);
-  const std::optional<Hit> wide = scene.CastRayWide(ray);
+  const std::optional<Hit> wide = scene.CastRay(ray);
   ASSERT_EQ(binary.has_value(), wide.has_value());
   if (binary.has_value()) {
     EXPECT_EQ(binary->primitive_index, wide->primitive_index);
@@ -58,7 +61,7 @@ void ExpectEngineEquivalence(const Scene& scene, const Ray& ray) {
   std::vector<Hit> all_binary;
   std::vector<Hit> all_wide;
   scene.CastRayCollectAllBinary(ray, &all_binary);
-  scene.CastRayCollectAllWide(ray, &all_wide);
+  scene.CastRayCollectAll(ray, &all_wide);
   auto by_prim = [](const Hit& a, const Hit& b) {
     return a.primitive_index < b.primitive_index;
   };
@@ -73,7 +76,8 @@ void ExpectEngineEquivalence(const Scene& scene, const Ray& ray) {
 }
 
 // Probes a scene with axis rays through a grid slab plus generic
-// diagonal rays, comparing both engines on every cast.
+// diagonal rays, comparing the wide traversal with the binary oracle on
+// every cast.
 void ProbeScene(const Scene& scene, Rng* rng, int probes) {
   if (scene.triangle_count() == 0) return;
   // Bounding region of the scene's active triangles.
@@ -100,7 +104,7 @@ void ProbeScene(const Scene& scene, Rng* rng, int probes) {
                        axis == 2 ? 1.0f : 0.0f};
       ray.t_min = 0;
       ray.t_max = (axis == 0 ? extent.x : axis == 1 ? extent.y : extent.z) + 2;
-      ExpectEngineEquivalence(scene, ray);
+      ExpectMatchesBinaryOracle(scene, ray);
     }
     // Generic (non-axis) ray through the same point.
     Ray diag;
@@ -109,7 +113,7 @@ void ProbeScene(const Scene& scene, Rng* rng, int probes) {
                       fz - diag.origin.z};
     diag.t_min = 0;
     diag.t_max = 3;
-    ExpectEngineEquivalence(scene, diag);
+    ExpectMatchesBinaryOracle(scene, diag);
   }
 }
 
@@ -118,6 +122,71 @@ std::vector<std::uint64_t> RandomKeys(std::size_t n, std::uint64_t space,
   std::vector<std::uint64_t> keys(n);
   for (auto& k : keys) k = rng->Below(space);
   return keys;
+}
+
+// `n` random keys below `space` that are not in `*taken` yet (and are
+// added to it), so erase and insert sets stay disjoint and each erase
+// has exactly one instance to remove.
+std::vector<std::uint64_t> FreshKeys(std::size_t n, std::uint64_t space,
+                                     Rng* rng, std::set<std::uint64_t>* taken) {
+  std::vector<std::uint64_t> keys;
+  while (keys.size() < n) {
+    const std::uint64_t k = rng->Below(space);
+    if (taken->insert(k).second) keys.push_back(k);
+  }
+  return keys;
+}
+
+/// Multimap oracle of an index's (key, rowID) contents.
+class Oracle {
+ public:
+  void Insert(const std::vector<std::uint64_t>& keys,
+              const std::vector<std::uint32_t>& rows) {
+    for (std::size_t i = 0; i < keys.size(); ++i) {
+      entries_.emplace(keys[i], rows[i]);
+    }
+  }
+
+  void Erase(const std::vector<std::uint64_t>& keys) {
+    for (const std::uint64_t k : keys) {
+      const auto it = entries_.find(k);
+      if (it != entries_.end()) entries_.erase(it);
+    }
+  }
+
+  LookupResult Range(std::uint64_t lo, std::uint64_t hi) const {
+    LookupResult r;
+    for (auto it = entries_.lower_bound(lo);
+         it != entries_.end() && it->first <= hi; ++it) {
+      r.Accumulate(it->second);
+    }
+    return r;
+  }
+
+ private:
+  std::multimap<std::uint64_t, std::uint32_t> entries_;
+};
+
+std::vector<std::uint32_t> Positions(std::size_t n) {
+  std::vector<std::uint32_t> rows(n);
+  for (std::size_t i = 0; i < n; ++i) rows[i] = static_cast<std::uint32_t>(i);
+  return rows;
+}
+
+// Point lookups of `probes` (serial batch) must answer as the oracle.
+template <typename Index>
+void ExpectPointLookupsMatchOracle(const Index& index, const Oracle& oracle,
+                                   const std::vector<std::uint64_t>& probes) {
+  std::vector<LookupResult> results(probes.size());
+  index.PointLookupBatch(probes.data(), probes.size(), results.data(),
+                         api::ExecutionPolicy::Serial());
+  std::size_t hits = 0;
+  for (std::size_t i = 0; i < probes.size(); ++i) {
+    ASSERT_EQ(results[i], oracle.Range(probes[i], probes[i])) << probes[i];
+    if (!results[i].IsMiss()) ++hits;
+  }
+  EXPECT_GT(hits, 0u);
+  EXPECT_LT(hits, probes.size());
 }
 
 // ---------------------------------------------------------------------
@@ -155,77 +224,67 @@ TEST(Bvh4Equivalence, AllBuildersRepresentationsAndFlipping) {
 }
 
 // ---------------------------------------------------------------------
-// Index-level equivalence: a binary-engine and a wide-engine cgRX give
-// byte-identical lookup results (including the rays-fired counters).
+// Index-level checks: the scene each raytracing index builds (and
+// updates) traverses like the binary oracle, and its lookups answer as
+// a std::multimap oracle.
 // ---------------------------------------------------------------------
 
 TEST(Bvh4Equivalence, CgrxLookupsMatchBinaryEngine) {
   Rng rng(11);
   const std::vector<std::uint64_t> keys = RandomKeys(20000, 1ULL << 40, &rng);
-  CgrxConfig wide_config;
-  wide_config.bucket_size = 16;
-  CgrxConfig binary_config = wide_config;
-  binary_config.traversal_engine = TraversalEngine::kBinary;
-  CgrxIndex64 wide(wide_config);
-  CgrxIndex64 binary(binary_config);
-  wide.Build(keys);
-  binary.Build(keys);
+  CgrxConfig config;
+  config.bucket_size = 16;
+  CgrxIndex64 index(config);
+  index.Build(keys);
+  Oracle oracle;
+  oracle.Insert(keys, Positions(keys.size()));
+  Rng probe_rng(13);
+  ProbeScene(index.scene(), &probe_rng, 40);
 
   std::vector<std::uint64_t> probes = keys;
   probes.resize(4000);
   for (int i = 0; i < 4000; ++i) probes.push_back(rng.Below(1ULL << 41));
-  std::vector<LookupResult> wide_results(probes.size());
-  std::vector<LookupResult> binary_results(probes.size());
-  wide.PointLookupBatch(probes.data(), probes.size(), wide_results.data(),
-                        api::ExecutionPolicy::Serial());
-  binary.PointLookupBatch(probes.data(), probes.size(),
-                          binary_results.data(),
-                          api::ExecutionPolicy::Serial());
-  EXPECT_EQ(wide_results, binary_results);
+  ExpectPointLookupsMatchOracle(index, oracle, probes);
 
   std::vector<KeyRange<std::uint64_t>> ranges;
   for (int i = 0; i < 1500; ++i) {
     const std::uint64_t lo = rng.Below(1ULL << 40);
     ranges.push_back({lo, lo + rng.Below(1ULL << 20)});
   }
-  std::vector<LookupResult> wide_ranges(ranges.size());
-  std::vector<LookupResult> binary_ranges(ranges.size());
-  wide.RangeLookupBatch(ranges.data(), ranges.size(), wide_ranges.data(),
-                        api::ExecutionPolicy::Serial());
-  binary.RangeLookupBatch(ranges.data(), ranges.size(),
-                          binary_ranges.data(),
-                          api::ExecutionPolicy::Serial());
-  EXPECT_EQ(wide_ranges, binary_ranges);
+  std::vector<LookupResult> results(ranges.size());
+  index.RangeLookupBatch(ranges.data(), ranges.size(), results.data(),
+                         api::ExecutionPolicy::Serial());
+  for (std::size_t i = 0; i < ranges.size(); ++i) {
+    ASSERT_EQ(results[i], oracle.Range(ranges[i].lo, ranges[i].hi)) << i;
+  }
 }
 
 TEST(Bvh4Equivalence, CgrxuLookupsMatchBinaryEngine) {
   Rng rng(17);
-  const std::vector<std::uint64_t> keys = RandomKeys(12000, 1ULL << 36, &rng);
-  CgrxuConfig wide_config;
-  CgrxuConfig binary_config = wide_config;
-  binary_config.traversal_engine = TraversalEngine::kBinary;
-  CgrxuIndex64 wide(wide_config);
-  CgrxuIndex64 binary(binary_config);
-  wide.Build(keys);
-  binary.Build(keys);
+  std::set<std::uint64_t> taken;
+  const std::vector<std::uint64_t> keys =
+      FreshKeys(12000, 1ULL << 36, &rng, &taken);
+  CgrxuIndex64 index;
+  index.Build(keys);
+  Oracle oracle;
+  oracle.Insert(keys, Positions(keys.size()));
 
-  // Update waves (splits, deletions) leave the BVH untouched but stress
-  // the located buckets.
-  std::vector<std::uint64_t> inserts = RandomKeys(4000, 1ULL << 36, &rng);
-  std::vector<std::uint32_t> insert_rows(inserts.size(), 1);
-  std::vector<std::uint64_t> deletes(keys.begin(), keys.begin() + 2000);
-  wide.UpdateBatch(inserts, insert_rows, deletes);
-  binary.UpdateBatch(inserts, insert_rows, deletes);
+  // An update wave (splits, deletions) leaves the BVH untouched but
+  // stresses the located buckets.
+  const std::vector<std::uint64_t> inserts =
+      FreshKeys(4000, 1ULL << 36, &rng, &taken);
+  const std::vector<std::uint32_t> insert_rows(inserts.size(), 1);
+  const std::vector<std::uint64_t> deletes(keys.begin(), keys.begin() + 2000);
+  index.UpdateBatch(inserts, insert_rows, deletes);
+  oracle.Erase(deletes);
+  oracle.Insert(inserts, insert_rows);
+  Rng probe_rng(19);
+  ProbeScene(index.rep_scene().scene(), &probe_rng, 40);
 
-  std::vector<std::uint64_t> probes = RandomKeys(6000, 1ULL << 37, &rng);
-  std::vector<LookupResult> wide_results(probes.size());
-  std::vector<LookupResult> binary_results(probes.size());
-  wide.PointLookupBatch(probes.data(), probes.size(), wide_results.data(),
-                        api::ExecutionPolicy::Serial());
-  binary.PointLookupBatch(probes.data(), probes.size(),
-                          binary_results.data(),
-                          api::ExecutionPolicy::Serial());
-  EXPECT_EQ(wide_results, binary_results);
+  std::vector<std::uint64_t> probes(keys.begin(), keys.begin() + 3000);
+  probes.insert(probes.end(), inserts.begin(), inserts.begin() + 1500);
+  for (int i = 0; i < 1500; ++i) probes.push_back(rng.Below(1ULL << 37));
+  ExpectPointLookupsMatchOracle(index, oracle, probes);
 }
 
 // ---------------------------------------------------------------------
@@ -235,41 +294,37 @@ TEST(Bvh4Equivalence, CgrxuLookupsMatchBinaryEngine) {
 
 TEST(Bvh4Equivalence, RxRefitScenesMatchBinaryEngine) {
   Rng rng(23);
-  std::vector<std::uint64_t> keys = RandomKeys(8000, 1ULL << 30, &rng);
+  std::set<std::uint64_t> taken;
+  const std::vector<std::uint64_t> keys =
+      FreshKeys(8000, 1ULL << 30, &rng, &taken);
   RxConfig config;
   config.spare_capacity = 0.3;
   RxIndex64 index(config);
   index.Build(keys);
+  Oracle oracle;
+  oracle.Insert(keys, Positions(keys.size()));
 
   // Refit wave 1: inserts activate parked slots far from their leaves.
-  std::vector<std::uint64_t> inserts = RandomKeys(1500, 1ULL << 30, &rng);
-  std::vector<std::uint32_t> insert_rows(inserts.size(), 9);
+  const std::vector<std::uint64_t> inserts =
+      FreshKeys(1500, 1ULL << 30, &rng, &taken);
+  const std::vector<std::uint32_t> insert_rows(inserts.size(), 9);
   index.InsertBatchRefit(inserts, insert_rows);
+  oracle.Insert(inserts, insert_rows);
   Rng probe_rng(29);
   ProbeScene(index.scene(), &probe_rng, 40);
 
   // Refit wave 2: deletions degenerate slots in place.
-  std::vector<std::uint64_t> deletes(keys.begin(), keys.begin() + 1500);
+  const std::vector<std::uint64_t> deletes(keys.begin(), keys.begin() + 1500);
   index.EraseBatchRefit(deletes);
+  oracle.Erase(deletes);
   ProbeScene(index.scene(), &probe_rng, 40);
 
-  // Lookup results stay equal to a binary-engine index in the same
-  // post-refit state.
-  RxConfig binary_config = config;
-  binary_config.traversal_engine = TraversalEngine::kBinary;
-  RxIndex64 binary(binary_config);
-  binary.Build(keys);
-  binary.InsertBatchRefit(inserts, insert_rows);
-  binary.EraseBatchRefit(deletes);
-  std::vector<std::uint64_t> probes = RandomKeys(5000, 1ULL << 31, &rng);
-  std::vector<LookupResult> wide_results(probes.size());
-  std::vector<LookupResult> binary_results(probes.size());
-  index.PointLookupBatch(probes.data(), probes.size(), wide_results.data(),
-                         api::ExecutionPolicy::Serial());
-  binary.PointLookupBatch(probes.data(), probes.size(),
-                          binary_results.data(),
-                          api::ExecutionPolicy::Serial());
-  EXPECT_EQ(wide_results, binary_results);
+  // Lookups in the post-refit state: erased, kept, inserted and random
+  // keys.
+  std::vector<std::uint64_t> probes(keys.begin(), keys.begin() + 3000);
+  probes.insert(probes.end(), inserts.begin(), inserts.end());
+  for (int i = 0; i < 1500; ++i) probes.push_back(rng.Below(1ULL << 31));
+  ExpectPointLookupsMatchOracle(index, oracle, probes);
 }
 
 TEST(Bvh4Equivalence, SceneRefitAfterVertexMoves) {
@@ -317,20 +372,21 @@ TEST(Bvh4, NodeMemoryAtMost60PercentOfBinary) {
   EXPECT_GT(scene.bvh4().MemoryBytes(), 0u);
   EXPECT_LE(static_cast<double>(scene.bvh4().MemoryBytes()),
             0.6 * static_cast<double>(scene.bvh().MemoryBytes()));
-  // The configured (wide) engine is what the scene footprint reports:
-  // wide nodes plus the primitive index array shared with the binary
-  // build substrate.
+  // The wide structure lookups traverse is what the scene footprint
+  // reports: wide nodes plus the primitive index array shared with the
+  // binary build substrate.
   EXPECT_EQ(scene.MemoryFootprintBytes(),
             scene.soup().MemoryBytes() + scene.bvh4().MemoryBytes() +
                 scene.bvh().prim_indices().size() * sizeof(std::uint32_t));
 }
 
 // ---------------------------------------------------------------------
-// Batch cast API: CastRays with a shared context must agree with the
-// per-ray entry point, including the hit_mask contract on misses.
+// Shared-context casts: CastRayInto reusing one TraversalContext across
+// many rays (how batch lookups cast) must agree with CastRay, on hits
+// and on misses.
 // ---------------------------------------------------------------------
 
-TEST(SceneBatch, CastRaysMatchesPerRayCasts) {
+TEST(SceneBatch, CastRayIntoWithSharedContextMatchesCastRay) {
   Rng rng(53);
   CgrxConfig config;
   config.bucket_size = 8;
@@ -367,142 +423,127 @@ TEST(SceneBatch, CastRaysMatchesPerRayCasts) {
     rays.push_back(ray);
   }
 
-  std::vector<Hit> hits(rays.size());
-  std::vector<std::uint8_t> mask(rays.size(), 2);
   rt::TraversalContext ctx;
-  rt::TraversalStats stats;
-  scene.CastRays(rays.data(), rays.size(), hits.data(), mask.data(), &ctx,
-                 &stats);
-  EXPECT_GT(stats.nodes_visited, 0u);
+  rt::TraversalStats shared_stats;
+  rt::TraversalStats single_stats;
   std::size_t hit_count = 0;
-  for (std::size_t i = 0; i < rays.size(); ++i) {
-    const std::optional<Hit> single = scene.CastRay(rays[i]);
-    ASSERT_EQ(mask[i], single.has_value() ? 1 : 0);
-    if (single.has_value()) {
+  for (const Ray& ray : rays) {
+    Hit hit;
+    const bool found = scene.CastRayInto(ray, &hit, &ctx, &shared_stats);
+    const std::optional<Hit> single = scene.CastRay(ray, &single_stats);
+    ASSERT_EQ(found, single.has_value());
+    if (found) {
       ++hit_count;
-      EXPECT_EQ(hits[i].primitive_index, single->primitive_index);
-      EXPECT_EQ(hits[i].t, single->t);
-      EXPECT_EQ(hits[i].front_face, single->front_face);
+      EXPECT_EQ(hit.primitive_index, single->primitive_index);
+      EXPECT_EQ(hit.t, single->t);
+      EXPECT_EQ(hit.front_face, single->front_face);
     }
   }
+  EXPECT_GT(shared_stats.nodes_visited, 0u);
+  EXPECT_EQ(shared_stats.nodes_visited, single_stats.nodes_visited);
+  EXPECT_EQ(shared_stats.triangle_tests, single_stats.triangle_tests);
   EXPECT_GT(hit_count, 0u);
   EXPECT_LT(hit_count, rays.size());
 }
 
 // ---------------------------------------------------------------------
-// Coherent scheduling: reordered execution must be invisible in the
-// results, for every index and for serial and parallel policies alike.
+// Coherent scheduling: a batch of at least kCoherentBatchMin lookups
+// runs in sorted key order; the same lookups fed in sub-threshold
+// chunks run in batch order. The reordering must be invisible in the
+// results and in the rays fired, for every raytracing index and for
+// serial and parallel policies alike.
 // ---------------------------------------------------------------------
 
-TEST(CoherentBatches, CgrxSortedMatchesUnsortedAndParallel) {
+// `lookup(items, count, results, policy)` over all of `items` at once,
+// serial and parallel, against the same items in serial sub-threshold
+// chunks.
+template <typename Index, typename Item, typename Lookup>
+void ExpectSortedBatchMatchesChunks(const Index& index,
+                                    const std::vector<Item>& items,
+                                    Lookup&& lookup) {
+  ASSERT_GE(items.size(), core::kCoherentBatchMin);
+  const auto rays = [&index] {
+    return index.stat_counters().rays_fired.load(std::memory_order_relaxed);
+  };
+  std::uint64_t before = rays();
+  std::vector<LookupResult> chunked(items.size());
+  for (std::size_t begin = 0; begin < items.size();
+       begin += core::kCoherentBatchMin - 1) {
+    lookup(items.data() + begin,
+           std::min(core::kCoherentBatchMin - 1, items.size() - begin),
+           chunked.data() + begin, api::ExecutionPolicy::Serial());
+  }
+  const std::uint64_t chunked_rays = rays() - before;
+  for (const api::ExecutionPolicy policy :
+       {api::ExecutionPolicy::Serial(), api::ExecutionPolicy::Parallel()}) {
+    SCOPED_TRACE(policy.serial() ? "serial" : "parallel");
+    before = rays();
+    std::vector<LookupResult> whole(items.size());
+    lookup(items.data(), items.size(), whole.data(), policy);
+    EXPECT_EQ(whole, chunked);
+    EXPECT_EQ(rays() - before, chunked_rays);
+  }
+}
+
+template <typename Index>
+void ExpectCoherentBatchesMatchChunks(
+    const Index& index, const std::vector<std::uint64_t>& probes,
+    const std::vector<KeyRange<std::uint64_t>>& ranges) {
+  {
+    SCOPED_TRACE("point");
+    ExpectSortedBatchMatchesChunks(
+        index, probes,
+        [&index](const std::uint64_t* keys, std::size_t count,
+                 LookupResult* out, const api::ExecutionPolicy& policy) {
+          index.PointLookupBatch(keys, count, out, policy);
+        });
+  }
+  {
+    SCOPED_TRACE("range");
+    ExpectSortedBatchMatchesChunks(
+        index, ranges,
+        [&index](const KeyRange<std::uint64_t>* first, std::size_t count,
+                 LookupResult* out, const api::ExecutionPolicy& policy) {
+          index.RangeLookupBatch(first, count, out, policy);
+        });
+  }
+}
+
+std::vector<KeyRange<std::uint64_t>> RandomRanges(std::size_t n,
+                                                  std::uint64_t space,
+                                                  std::uint64_t width,
+                                                  Rng* rng) {
+  std::vector<KeyRange<std::uint64_t>> ranges;
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::uint64_t lo = rng->Below(space);
+    ranges.push_back({lo, lo + rng->Below(width)});
+  }
+  return ranges;
+}
+
+TEST(CoherentBatches, CgrxSortedBatchesMatchSubThresholdChunks) {
   Rng rng(43);
   const std::vector<std::uint64_t> keys = RandomKeys(30000, 1ULL << 42, &rng);
-  CgrxConfig coherent_config;
-  CgrxConfig unsorted_config;
-  unsorted_config.coherent_batches = false;
-  CgrxIndex64 coherent(coherent_config);
-  CgrxIndex64 unsorted(unsorted_config);
-  coherent.Build(keys);
-  unsorted.Build(keys);
-
-  std::vector<std::uint64_t> probes(keys.begin(), keys.begin() + 5000);
-  for (int i = 0; i < 3000; ++i) probes.push_back(rng.Below(1ULL << 43));
-  ASSERT_GE(probes.size(), core::kCoherentBatchMin);
-
-  std::vector<LookupResult> a(probes.size());
-  std::vector<LookupResult> b(probes.size());
-  std::vector<LookupResult> c(probes.size());
-  coherent.PointLookupBatch(probes.data(), probes.size(), a.data(),
-                            api::ExecutionPolicy::Serial());
-  unsorted.PointLookupBatch(probes.data(), probes.size(), b.data(),
-                            api::ExecutionPolicy::Serial());
-  coherent.PointLookupBatch(probes.data(), probes.size(), c.data(),
-                            api::ExecutionPolicy::Parallel());
-  EXPECT_EQ(a, b);
-  EXPECT_EQ(a, c);
-
-  std::vector<KeyRange<std::uint64_t>> ranges;
-  for (int i = 0; i < 2000; ++i) {
-    const std::uint64_t lo = rng.Below(1ULL << 42);
-    ranges.push_back({lo, lo + rng.Below(1ULL << 18)});
-  }
-  std::vector<LookupResult> ra(ranges.size());
-  std::vector<LookupResult> rb(ranges.size());
-  coherent.RangeLookupBatch(ranges.data(), ranges.size(), ra.data(),
-                            api::ExecutionPolicy::Parallel());
-  unsorted.RangeLookupBatch(ranges.data(), ranges.size(), rb.data(),
-                            api::ExecutionPolicy::Serial());
-  EXPECT_EQ(ra, rb);
+  CgrxIndex64 index;
+  index.Build(keys);
+  // Large enough that a parallel policy also computes the schedule
+  // itself (perm init, max reduction, radix passes) on the scheduler.
+  std::vector<std::uint64_t> probes = keys;
+  for (int i = 0; i < 6000; ++i) probes.push_back(rng.Below(1ULL << 43));
+  ASSERT_GE(probes.size(), core::kCoherentParallelMin);
+  ExpectCoherentBatchesMatchChunks(
+      index, probes, RandomRanges(2000, 1ULL << 42, 1ULL << 18, &rng));
 }
 
 // ---------------------------------------------------------------------
-// SIMD slab test: the vectorized 4-wide child box test must agree with
-// the pinned scalar reference bit for bit -- same hit mask, same entry
-// distances -- over every node of a real quantized BVH, all three ray
-// axes, and randomized origins/intervals (including refit-emptied and
-// partially filled nodes).
+// Wide slab test on a hand-built node: a real child hits exactly when
+// the ray passes through its box, and a refit-emptied child (qlo > qhi)
+// or a lane past num_children never contributes to the mask.
 // ---------------------------------------------------------------------
 
-#if CGRX_WIDE_SLAB_SIMD
-template <int A>
-void ExpectSimdMatchesScalarOnNode(const rt::Bvh4::Node& node, Rng* rng) {
-  const float scale[3] = {node.Scale(0), node.Scale(1), node.Scale(2)};
-  const rt::Aabb frame = [&] {
-    rt::Aabb box;
-    for (int c = 0; c < node.num_children; ++c) {
-      box.Grow(node.ChildBounds(c));
-    }
-    return box;
-  }();
-  for (int probe = 0; probe < 8; ++probe) {
-    // Origins in and around the node's frame so all mask shapes occur.
-    auto jitter = [&](float lo, float hi) {
-      const double t = rng->NextDouble() * 1.4 - 0.2;
-      return static_cast<double>(lo) +
-             t * (static_cast<double>(hi) - static_cast<double>(lo));
-    };
-    const double oa = jitter(frame.min[A] - 1, frame.max[A] + 1);
-    const double ou =
-        jitter(frame.min[(A + 1) % 3], frame.max[(A + 1) % 3]);
-    const double ov =
-        jitter(frame.min[(A + 2) % 3], frame.max[(A + 2) % 3]);
-    const double t_min = 0;
-    const double t_max = rng->NextDouble() * 64;
-    double scalar_t[rt::Bvh4::kWidth] = {-1, -1, -1, -1};
-    double simd_t[rt::Bvh4::kWidth] = {-1, -1, -1, -1};
-    const int scalar_mask = rt::detail::WideAxisChildrenScalar<A>(
-        node, scale, oa, ou, ov, t_min, t_max, scalar_t);
-    const int simd_mask = rt::detail::WideAxisChildrenSimd<A>(
-        node, scale, oa, ou, ov, t_min, t_max, simd_t);
-    ASSERT_EQ(simd_mask, scalar_mask);
-    for (int c = 0; c < rt::Bvh4::kWidth; ++c) {
-      if ((scalar_mask & (1 << c)) != 0) {
-        ASSERT_EQ(simd_t[c], scalar_t[c]);
-      }
-    }
-  }
-}
-
-TEST(WideSlabSimd, MatchesScalarReferenceBitForBit) {
-  Rng rng(59);
-  CgrxConfig config;
-  config.bucket_size = 8;
-  CgrxIndex64 index(config);
-  index.Build(RandomKeys(30000, 1ULL << 34, &rng));
-  const rt::Bvh4& bvh4 = index.scene().bvh4();
-  ASSERT_FALSE(bvh4.empty());
-  Rng probe_rng(61);
-  for (const rt::Bvh4::Node& node : bvh4.nodes()) {
-    ExpectSimdMatchesScalarOnNode<0>(node, &probe_rng);
-    ExpectSimdMatchesScalarOnNode<1>(node, &probe_rng);
-    ExpectSimdMatchesScalarOnNode<2>(node, &probe_rng);
-  }
-}
-
-TEST(WideSlabSimd, HandlesEmptyMarkedAndPartialNodes) {
-  // A hand-built node: two real children, one refit-emptied (qlo >
-  // qhi), one absent (num_children = 3); lanes past num_children must
-  // never contribute to the mask.
+TEST(WideSlab, HandlesEmptyMarkedAndPartialNodes) {
+  // Two real children, one refit-emptied (qlo > qhi), one absent
+  // (num_children = 3).
   rt::Bvh4::Node node{};
   node.origin = {0, 0, 0};
   for (int axis = 0; axis < 3; ++axis) node.exp[axis] = 127;  // Scale 1.
@@ -519,22 +560,32 @@ TEST(WideSlabSimd, HandlesEmptyMarkedAndPartialNodes) {
   }
   const float scale[3] = {1, 1, 1};
   Rng rng(67);
-  for (int probe = 0; probe < 200; ++probe) {
+  int real_hits = 0;
+  for (int probe = 0; probe < 400; ++probe) {
     const double oa = rng.NextDouble() * 40 - 5;
     const double ou = rng.NextDouble() * 40 - 5;
     const double ov = rng.NextDouble() * 40 - 5;
-    double scalar_t[rt::Bvh4::kWidth];
-    double simd_t[rt::Bvh4::kWidth];
-    const int scalar_mask = rt::detail::WideAxisChildrenScalar<1>(
-        node, scale, oa, ou, ov, 0, 100, scalar_t);
-    const int simd_mask = rt::detail::WideAxisChildrenSimd<1>(
-        node, scale, oa, ou, ov, 0, 100, simd_t);
-    ASSERT_EQ(simd_mask, scalar_mask);
-    EXPECT_EQ(scalar_mask & (1 << 2), 0);  // Emptied child never hits.
-    EXPECT_EQ(scalar_mask & (1 << 3), 0);  // Absent lane never hits.
+    double t_entry[rt::Bvh4::kWidth];
+    const int mask = rt::detail::WideAxisChildren<1>(node, scale, oa, ou, ov,
+                                                     0, 100, t_entry);
+    EXPECT_EQ(mask & (1 << 2), 0);  // Emptied child never hits.
+    EXPECT_EQ(mask & (1 << 3), 0);  // Absent lane never hits.
+    // Children 0 and 1 span [0, 10] and [20, 30] on every axis.
+    for (int c = 0; c < 2; ++c) {
+      const double lo = c == 0 ? 0 : 20;
+      const double hi = lo + 10;
+      const bool through =
+          ou >= lo && ou <= hi && ov >= lo && ov <= hi && oa <= hi;
+      ASSERT_EQ((mask >> c) & 1, through ? 1 : 0)
+          << "child " << c << " oa=" << oa << " ou=" << ou << " ov=" << ov;
+      if (through) {
+        EXPECT_EQ(t_entry[c], std::max(0.0, lo - oa));
+        ++real_hits;
+      }
+    }
   }
+  EXPECT_GT(real_hits, 0);
 }
-#endif  // CGRX_WIDE_SLAB_SIMD
 
 // ---------------------------------------------------------------------
 // Parallel build determinism: the fragment cutoff is thread-count
@@ -695,43 +746,24 @@ TEST(ParallelRefit, LevelParallelRefitIsByteIdenticalToSerial) {
   }
 }
 
-TEST(CoherentBatches, RxAndCgrxuSortedMatchesUnsorted) {
+TEST(CoherentBatches, RxAndCgrxuSortedBatchesMatchSubThresholdChunks) {
   Rng rng(47);
   const std::vector<std::uint64_t> keys = RandomKeys(20000, 1ULL << 34, &rng);
   std::vector<std::uint64_t> probes(keys.begin(), keys.begin() + 4000);
   for (int i = 0; i < 2000; ++i) probes.push_back(rng.Below(1ULL << 35));
-
+  const std::vector<KeyRange<std::uint64_t>> ranges =
+      RandomRanges(1500, 1ULL << 34, 1ULL << 12, &rng);
   {
-    RxConfig coherent_config;
-    RxConfig unsorted_config;
-    unsorted_config.coherent_batches = false;
-    RxIndex64 coherent(coherent_config);
-    RxIndex64 unsorted(unsorted_config);
-    coherent.Build(keys);
-    unsorted.Build(keys);
-    std::vector<LookupResult> a(probes.size());
-    std::vector<LookupResult> b(probes.size());
-    coherent.PointLookupBatch(probes.data(), probes.size(), a.data(),
-                              api::ExecutionPolicy::Parallel());
-    unsorted.PointLookupBatch(probes.data(), probes.size(), b.data(),
-                              api::ExecutionPolicy::Serial());
-    EXPECT_EQ(a, b);
+    SCOPED_TRACE("rx");
+    RxIndex64 index;
+    index.Build(keys);
+    ExpectCoherentBatchesMatchChunks(index, probes, ranges);
   }
   {
-    CgrxuConfig coherent_config;
-    CgrxuConfig unsorted_config;
-    unsorted_config.coherent_batches = false;
-    CgrxuIndex64 coherent(coherent_config);
-    CgrxuIndex64 unsorted(unsorted_config);
-    coherent.Build(keys);
-    unsorted.Build(keys);
-    std::vector<LookupResult> a(probes.size());
-    std::vector<LookupResult> b(probes.size());
-    coherent.PointLookupBatch(probes.data(), probes.size(), a.data(),
-                              api::ExecutionPolicy::Parallel());
-    unsorted.PointLookupBatch(probes.data(), probes.size(), b.data(),
-                              api::ExecutionPolicy::Serial());
-    EXPECT_EQ(a, b);
+    SCOPED_TRACE("cgrxu");
+    CgrxuIndex64 index;
+    index.Build(keys);
+    ExpectCoherentBatchesMatchChunks(index, probes, ranges);
   }
 }
 

@@ -536,6 +536,122 @@ TEST(CgrxuUpdates, ParallelWavesMatchSerial) {
   }
 }
 
+// Within a wave slice, each key's chain walk resumes where the previous
+// key's walk stopped. A serial wave must leave exactly the structure its
+// keys leave when applied as one-key waves in slice order (per bucket
+// ascending: its erases, then its inserts), where every walk starts at
+// the bucket head. Layout as above (bucket b owns (40b, 40b+40],
+// overflow above 4000), plus ten more copies each of 2000 and 3000, so
+// buckets 49 and 74 bulk-load chains of four nodes whose maxKeys all
+// equal the bucket's rep. The second wave walks the chains the first
+// one split.
+TEST(CgrxuUpdates, ResumedChainWalksMatchOneKeyWaves) {
+  constexpr std::uint64_t kBuckets = 100;
+  std::vector<std::uint64_t> keys;
+  for (std::uint64_t i = 1; i <= 4 * kBuckets; ++i) keys.push_back(10 * i);
+  keys.insert(keys.end(), 10, 2000);
+  keys.insert(keys.end(), 10, 3000);
+  CgrxuIndex64 wave_index;
+  CgrxuIndex64 one_key_index;
+  wave_index.Build(std::vector<std::uint64_t>(keys));
+  one_key_index.Build(std::vector<std::uint64_t>(keys));
+  ASSERT_EQ(wave_index.num_buckets(), kBuckets);
+  UOracle oracle;
+  for (std::size_t i = 0; i < keys.size(); ++i) {
+    oracle.Insert(keys[i], static_cast<std::uint32_t>(i));
+  }
+  const auto owner = [&](std::uint64_t key) {
+    return key == 0 ? 0 : std::min(kBuckets, (key - 1) / 40);
+  };
+  // Nodes are allocated in the same order, so the saved slabs match byte
+  // for byte, except for the allocated capacity (bytes 12-15 of
+  // cgrxu.nodes), which follows each wave's up-front reservation.
+  const auto saved = [](const CgrxuIndex64& index) {
+    storage::SnapshotWriter writer;
+    index.SaveState(&writer);
+    auto sections = writer.TakeSections();
+    EXPECT_EQ(sections.front().first, "cgrxu.nodes");
+    std::fill_n(sections.front().second.begin() + 12, 4, 0);
+    return sections;
+  };
+
+  std::uint32_t next_row = 5000;
+  // No key may be on both sides of a wave (pairs would cancel).
+  const auto apply = [&](std::vector<std::uint64_t> ins,
+                         std::vector<std::uint64_t> del) {
+    std::sort(ins.begin(), ins.end());
+    std::sort(del.begin(), del.end());
+    std::vector<std::uint32_t> rows;
+    for (const std::uint64_t k : del) oracle.EraseOne(k);
+    for (const std::uint64_t k : ins) {
+      rows.push_back(next_row++);
+      oracle.Insert(k, rows.back());
+    }
+    wave_index.UpdateBatch(ins, rows, del, api::ExecutionPolicy::Serial());
+    std::size_t e = 0;
+    std::size_t n = 0;
+    for (std::uint64_t b = 0; b <= kBuckets; ++b) {
+      for (; e < del.size() && owner(del[e]) == b; ++e) {
+        one_key_index.UpdateBatch({}, {}, {del[e]});
+      }
+      for (; n < ins.size() && owner(ins[n]) == b; ++n) {
+        one_key_index.UpdateBatch({ins[n]}, {rows[n]}, {});
+      }
+    }
+    ASSERT_EQ(e, del.size());
+    ASSERT_EQ(n, ins.size());
+
+    for (const CgrxuIndex64* index : {&wave_index, &one_key_index}) {
+      std::string error;
+      ASSERT_TRUE(index->ValidateInvariants(&error)) << error;
+      ASSERT_EQ(index->size(), oracle.size());
+    }
+    EXPECT_EQ(wave_index.used_nodes(), one_key_index.used_nodes());
+    EXPECT_EQ(wave_index.RangeLookup(0, ~0ULL),
+              one_key_index.RangeLookup(0, ~0ULL));
+    EXPECT_EQ(wave_index.RangeLookup(0, ~0ULL), oracle.Range(0, ~0ULL));
+    std::vector<std::uint64_t> probes = {~0ULL, ~0ULL - 1, 1ULL << 40};
+    for (std::uint64_t k = 0; k <= 4400; ++k) probes.push_back(k);
+    for (const std::uint64_t k : probes) {
+      const LookupResult got = wave_index.PointLookup(k);
+      ASSERT_EQ(got, one_key_index.PointLookup(k)) << k;
+      ASSERT_EQ(got, oracle.Point(k)) << k;
+    }
+    EXPECT_EQ(saved(wave_index), saved(one_key_index));
+  };
+
+  {
+    SCOPED_TRACE("first wave");
+    // Erases: six of the eleven 2000s (the walk continues across the
+    // nodes that share that maxKey), present and absent keys, and a
+    // bucket's smallest key. Inserts: twelve 3000s at that node boundary
+    // (they fill the head node and split it), a run of ascending keys
+    // that splits bucket 10's chain repeatedly, keys below the smallest
+    // rep, and ascending appends that split the overflow chain.
+    std::vector<std::uint64_t> ins = {0, 1, 5, 1995, 2005, 2990, ~0ULL};
+    ins.insert(ins.end(), 12, 3000);
+    for (std::uint64_t k = 401; k < 440; ++k) ins.push_back(k);
+    for (std::uint64_t k = 4001; k <= 4300; ++k) {
+      if (k != 4005) ins.push_back(k);
+    }
+    std::vector<std::uint64_t> del = {10, 30, 15, 1970, 1975, 3990, 4005};
+    del.insert(del.end(), 6, 2000);
+    apply(ins, del);
+    EXPECT_GT(wave_index.used_nodes(), kBuckets + 1 + 3 + 3 + 10);
+  }
+  {
+    SCOPED_TRACE("second wave");
+    // Erases above inserts in the split chains of buckets 10, 74 and the
+    // overflow bucket; the last five 2000s and one more that is absent
+    // (the walk reaches the chain's end). Every other erased key has one
+    // instance, so the oracle knows which row goes.
+    std::vector<std::uint64_t> ins = {402, 402, 403, 2975, 4002, 4150};
+    std::vector<std::uint64_t> del = {438, 439, 440, 2970, 2980, 4290, 4299};
+    del.insert(del.end(), 6, 2000);
+    apply(ins, del);
+  }
+}
+
 TEST(CgrxuMemory, FootprintCountsAllocatedNodes) {
   const auto keys = MakeDistributedKeySet(KeyDistribution::kUniform, 5000,
                                           64, 60);

@@ -792,26 +792,33 @@ TEST(NetDeadlineTest, DeadlineAgainstStalledServiceNeverHangsOrExecutes) {
   Client stall("localhost", server.port());
   ASSERT_TRUE(stall.OpenIndex("dl", "cgrxu").ok());
 
-  // Pipeline a bulk update: the single dispatcher is busy for a long
-  // stretch (hundreds of ms at least), with everything behind it queued.
-  std::vector<std::uint64_t> keys(50'000);
-  std::vector<std::uint32_t> rows(keys.size());
-  for (std::size_t i = 0; i < keys.size(); ++i) {
-    keys[i] = i * 3 + 1;
-    rows[i] = static_cast<std::uint32_t>(i);
-  }
-  util::ByteWriter update = stall.Request(Verb::kUpdate, "dl");
-  update.WritePodVector(keys);
-  update.WritePodVector(rows);
-  update.WritePodVector(std::vector<std::uint64_t>{});
-  stall.Send(update);
+  // Stall the single dispatcher with an in-process checkpoint whose
+  // writer waits for the release below, and pipeline a bulk update
+  // behind it: everything after the update stays queued until then.
+  std::promise<void> release;
+  std::shared_future<void> released = release.get_future().share();
+  std::future<std::uint64_t> checkpoint;
   {
-    // Wait (in-process) until the wave is actually submitted.
     IndexRouter::Lease lease = server.router().Acquire("dl");
     ASSERT_TRUE(static_cast<bool>(lease));
-    while (lease->service().service().pending() == 0) {
-      std::this_thread::yield();
+    auto& service = lease->service().service();
+    checkpoint = service.Checkpoint(
+        [released](const api::Index<std::uint64_t>&, std::uint64_t) {
+          released.wait();
+        });
+    std::vector<std::uint64_t> keys(50'000);
+    std::vector<std::uint32_t> rows(keys.size());
+    for (std::size_t i = 0; i < keys.size(); ++i) {
+      keys[i] = i * 3 + 1;
+      rows[i] = static_cast<std::uint32_t>(i);
     }
+    util::ByteWriter update = stall.Request(Verb::kUpdate, "dl");
+    update.WritePodVector(keys);
+    update.WritePodVector(rows);
+    update.WritePodVector(std::vector<std::uint64_t>{});
+    stall.Send(update);
+    // Wait (in-process) until the wave is actually submitted.
+    while (service.pending() < 2) std::this_thread::yield();
   }
 
   // Second connection: a 10 ms-deadline lookup, framed by hand so only
@@ -834,10 +841,13 @@ TEST(NetDeadlineTest, DeadlineAgainstStalledServiceNeverHangsOrExecutes) {
   const ResponseHeader response = ResponseHeader::Decode(&in);
   EXPECT_EQ(response.status, Status::kDeadlineExceeded) << response.message;
 
-  // Never hangs: answered in ~deadline time, not update-wave time.
+  // Never hangs: answered in ~deadline time, not stall time.
   EXPECT_LT(answered - sent, std::chrono::seconds(2));
-  // Let the wave finish; the lookup answer must predate its completion
-  // (i.e. the deadline answer did not queue behind the wave).
+  // Let the stall and the wave finish; the lookup answer must predate
+  // the wave's completion (i.e. the deadline answer did not queue
+  // behind the wave).
+  release.set_value();
+  EXPECT_EQ(checkpoint.get(), 0u);
   std::vector<std::uint8_t> update_payload;
   ASSERT_TRUE(stall.Receive(&update_payload));
   const auto wave_done = std::chrono::steady_clock::now();

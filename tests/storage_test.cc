@@ -342,33 +342,41 @@ TEST_F(SnapshotRejectionTest, TruncatedFileIsCorruption) {
   EXPECT_THROW(OpenIndex<std::uint64_t>(file_), CorruptionError);
 }
 
-TEST_F(SnapshotRejectionTest, FutureVersionIsRejectedWithBothVersions) {
-  std::vector<std::uint8_t> bytes = FileBytes();
-  // Version field sits right after the 8-byte magic; the header CRC is
-  // recomputed so only the version disagrees.
-  bytes[8] = 99;
-  util::ByteReader r(bytes.data(), bytes.size());
-  // Recompute the header CRC: parse up to the CRC position.
-  r.Skip(12);                     // magic + version.
-  r.Skip(4);                      // key_bits.
-  const std::uint32_t name_len = r.ReadU32();
-  r.Skip(name_len + 8 + 8 + 8);   // name + entries + epoch + sections.
-  const std::size_t crc_pos = bytes.size() - r.remaining();
-  const std::uint32_t crc = util::Crc32c(bytes.data(), crc_pos);
-  bytes[crc_pos + 0] = static_cast<std::uint8_t>(crc);
-  bytes[crc_pos + 1] = static_cast<std::uint8_t>(crc >> 8);
-  bytes[crc_pos + 2] = static_cast<std::uint8_t>(crc >> 16);
-  bytes[crc_pos + 3] = static_cast<std::uint8_t>(crc >> 24);
-  WriteBytes(bytes);
-  try {
-    OpenIndex<std::uint64_t>(file_);
-    FAIL() << "expected VersionMismatchError";
-  } catch (const VersionMismatchError& error) {
-    const std::string message = error.what();
-    EXPECT_NE(message.find("99"), std::string::npos) << message;
-    EXPECT_NE(message.find(std::to_string(kSnapshotVersion)),
-              std::string::npos)
-        << message;
+TEST_F(SnapshotRejectionTest,
+       PreviousAndFutureVersionsAreRejectedWithBothVersions) {
+  const std::vector<std::uint8_t> original = FileBytes();
+  // The previous layout and a future one.
+  for (const std::uint32_t version : {kSnapshotVersion - 1, 99u}) {
+    SCOPED_TRACE(version);
+    std::vector<std::uint8_t> bytes = original;
+    // Version field sits right after the 8-byte magic; the header CRC is
+    // recomputed so only the version disagrees.
+    bytes[8] = static_cast<std::uint8_t>(version);
+    util::ByteReader r(bytes.data(), bytes.size());
+    // Recompute the header CRC: parse up to the CRC position.
+    r.Skip(12);                     // magic + version.
+    r.Skip(4);                      // key_bits.
+    const std::uint32_t name_len = r.ReadU32();
+    r.Skip(name_len + 8 + 8 + 8);   // name + entries + epoch + sections.
+    const std::size_t crc_pos = bytes.size() - r.remaining();
+    const std::uint32_t crc = util::Crc32c(bytes.data(), crc_pos);
+    bytes[crc_pos + 0] = static_cast<std::uint8_t>(crc);
+    bytes[crc_pos + 1] = static_cast<std::uint8_t>(crc >> 8);
+    bytes[crc_pos + 2] = static_cast<std::uint8_t>(crc >> 16);
+    bytes[crc_pos + 3] = static_cast<std::uint8_t>(crc >> 24);
+    WriteBytes(bytes);
+    try {
+      OpenIndex<std::uint64_t>(file_);
+      FAIL() << "expected VersionMismatchError";
+    } catch (const VersionMismatchError& error) {
+      const std::string message = error.what();
+      EXPECT_NE(message.find("version " + std::to_string(version)),
+                std::string::npos)
+          << message;
+      EXPECT_NE(message.find("version " + std::to_string(kSnapshotVersion)),
+                std::string::npos)
+          << message;
+    }
   }
 }
 
