@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "src/core/types.h"
+#include "src/util/prefetch.h"
 #include "src/util/serial.h"
 
 namespace cgrx::core {
@@ -110,6 +111,25 @@ class BucketArray {
 
   /// The globally largest key (== last representative).
   Key MaxKey() const { return KeyAt(size_ - 1); }
+
+  /// Prefetches every entry of `bucket` (both columns in the column
+  /// layout): stage 1 of a pipelined lookup batch issues this as soon as
+  /// the rays have located the bucket, so the PointSearch or RangeScan
+  /// that runs a few lookups later finds it in cache. Always inlined for
+  /// the reason util::PrefetchRange is: out of line, a function that
+  /// only prefetches counts as pure and its calls are deleted.
+  [[gnu::always_inline]] void PrefetchBucket(std::size_t bucket) const {
+    const std::size_t begin = BucketBegin(bucket);
+    const std::size_t count = BucketEnd(bucket) - begin;
+    if (layout_ == BucketLayout::kColumn) {
+      util::PrefetchRange(keys_.data() + begin, count * sizeof(Key));
+      util::PrefetchRange(row_ids_.data() + begin,
+                          count * sizeof(std::uint32_t));
+    } else {
+      util::PrefetchRange(rows_.data() + begin * kEntryBytes,
+                          count * kEntryBytes);
+    }
+  }
 
   /// Searches `bucket` for `key` (paper: "post-filtering a retrieved
   /// bucket"); aggregates every duplicate, following duplicates across
@@ -215,34 +235,19 @@ class BucketArray {
  private:
   /// First position in [begin, end) whose key is >= `key`. Branchless
   /// binary search: each step shrinks the window with a conditional add
-  /// (compiled to a cmov, no mispredicted branch on random keys) and
-  /// prefetches the two entries the next step can touch, hiding the
-  /// memory latency the post-filter otherwise pays per probe.
+  /// (compiled to a cmov, no mispredicted branch on random keys). The
+  /// memory latency of its loads is hidden by PrefetchBucket, which a
+  /// batch issues a few lookups before the search runs.
   std::size_t LowerBound(std::size_t begin, std::size_t end, Key key) const {
     std::size_t base = begin;
     std::size_t len = end - begin;
     while (len > 1) {
       const std::size_t half = len / 2;
-      PrefetchEntry(base + half / 2);
-      PrefetchEntry(base + half + (len - half) / 2);
       base += static_cast<std::size_t>(KeyAt(base + half - 1) < key) * half;
       len -= half;
     }
     if (len == 1 && KeyAt(base) < key) ++base;
     return base;
-  }
-
-  void PrefetchEntry(std::size_t i) const {
-#if defined(__GNUC__) || defined(__clang__)
-    if (i >= size_) return;
-    const void* p = layout_ == BucketLayout::kColumn
-                        ? static_cast<const void*>(keys_.data() + i)
-                        : static_cast<const void*>(rows_.data() +
-                                                   i * kEntryBytes);
-    __builtin_prefetch(p, /*rw=*/0, /*locality=*/1);
-#else
-    (void)i;
-#endif
   }
 
   std::size_t size_ = 0;

@@ -120,34 +120,41 @@ class CgrxIndex {
   }
 
   /// Batched point lookups, one logical device thread per query; the
-  /// policy decides serial vs. pool-parallel execution. Batches of at
-  /// least kCoherentBatchMin keys are coherence-scheduled (see
-  /// CoherentBatch): keys are radix-ordered with their original
-  /// positions, rays fire in sorted order, and results scatter back.
-  /// Stat counters accumulate chunk-locally and merge once per chunk,
-  /// keeping the shared atomics off the timed hot loop.
+  /// policy decides serial vs. pool-parallel execution. The batch runs
+  /// through PipelinedBatch: stage 1 fires a key's rays and prefetches
+  /// its bucket, stage 2 searches the bucket a few lookups later, so the
+  /// fetch overlaps the next keys' traversals. Batches of at least
+  /// kCoherentBatchMin keys also run in coherent key order, and results
+  /// scatter back. Stat counters accumulate chunk-locally and merge once
+  /// per chunk, keeping the shared atomics off the timed hot loop.
   void PointLookupBatch(const Key* keys, std::size_t count,
                         LookupResult* results,
                         const api::ExecutionPolicy& policy = {}) const {
-    CoherentBatch(keys, count, 256, policy, &counters_,
-                  [&](Key key, std::size_t orig, LocalLookupCounters* local,
-                      rt::TraversalContext* ctx) {
-                    results[orig] = PointLookupCounted(key, nullptr, local,
-                                                       ctx);
-                  });
+    PipelinedBatch(
+        keys, count, 256, policy, &counters_, results,
+        [this](Key key, LocalLookupCounters* local,
+               rt::TraversalContext* ctx) {
+          return LocatePoint(key, local, ctx);
+        },
+        [this](Key key, std::optional<std::uint32_t> bucket) {
+          return SearchPoint(key, bucket);
+        });
   }
 
-  /// Batched range lookups, coherence-scheduled by lower bound.
+  /// Batched range lookups, pipelined and coherence-scheduled by lower
+  /// bound like PointLookupBatch.
   void RangeLookupBatch(const KeyRange<Key>* ranges, std::size_t count,
                         LookupResult* results,
                         const api::ExecutionPolicy& policy = {}) const {
-    CoherentRangeBatch(ranges, count, 16, policy, &counters_,
-                       [&](std::size_t orig, LocalLookupCounters* local,
-                           rt::TraversalContext* ctx) {
-                         const KeyRange<Key>& r = ranges[orig];
-                         results[orig] = RangeLookupCounted(r.lo, r.hi,
-                                                            local, ctx);
-                       });
+    PipelinedBatch(
+        ranges, count, 16, policy, &counters_, results,
+        [this](const KeyRange<Key>& r, LocalLookupCounters* local,
+               rt::TraversalContext* ctx) {
+          return LocateRange(r.lo, r.hi, local, ctx);
+        },
+        [this](const KeyRange<Key>& r, std::optional<std::uint32_t> bucket) {
+          return ScanRange(r.lo, r.hi, bucket);
+        });
   }
 
   /// Inserts a batch by merging into the sorted array and rebuilding the
@@ -269,38 +276,73 @@ class CgrxIndex {
   }
 
  private:
+  /// Single-key lookups: both stages back to back.
   LookupResult PointLookupCounted(Key key, int* rays_used,
-                                  LocalLookupCounters* counters,
-                                  rt::TraversalContext* ctx = nullptr) const {
+                                  LocalLookupCounters* counters) const {
+    return SearchPoint(key, LocatePoint(key, counters, nullptr, rays_used));
+  }
+
+  LookupResult RangeLookupCounted(Key lo, Key hi,
+                                  LocalLookupCounters* counters) const {
+    return ScanRange(lo, hi, LocateRange(lo, hi, counters, nullptr));
+  }
+
+  /// Point stage 1: the miss filter, then the rays; a located bucket is
+  /// counted and prefetched. A filter rejection fires no rays.
+  std::optional<std::uint32_t> LocatePoint(Key key,
+                                           LocalLookupCounters* counters,
+                                           rt::TraversalContext* ctx,
+                                           int* rays_used = nullptr) const {
     if (rays_used != nullptr) *rays_used = 0;
     if (!miss_filter_.empty() &&
         !miss_filter_.MayContain(static_cast<std::uint64_t>(key))) {
       ++counters->filter_rejections;
-      return LookupResult{};  // Definitely absent; no rays fired.
+      return std::nullopt;  // Definitely absent; no rays fired.
     }
     int rays = 0;
     const auto bucket = LocateBucket(key, &rays, ctx);
     counters->rays_fired += static_cast<std::uint64_t>(rays);
     if (rays_used != nullptr) *rays_used = rays;
+    if (bucket.has_value()) {
+      ++counters->buckets_probed;
+      buckets_.PrefetchBucket(*bucket);
+    }
+    return bucket;
+  }
+
+  /// Point stage 2: the post-filter of the located bucket.
+  LookupResult SearchPoint(Key key,
+                           std::optional<std::uint32_t> bucket) const {
     if (!bucket.has_value()) return LookupResult{};
-    ++counters->buckets_probed;
     return buckets_.PointSearch(*bucket, key, config_.bucket_search);
   }
 
-  LookupResult RangeLookupCounted(Key lo, Key hi,
-                                  LocalLookupCounters* counters,
-                                  rt::TraversalContext* ctx = nullptr) const {
-    if (buckets_.empty() || lo > hi) return LookupResult{};
-    if (static_cast<std::uint64_t>(lo) > rep_scene_.max_rep()) {
-      return LookupResult{};  // Paper: safe empty result.
+  /// Range stage 1: locates and prefetches the bucket of `lo`. An empty
+  /// range, or one starting above the largest representative, fires no
+  /// rays (paper: safe empty result).
+  std::optional<std::uint32_t> LocateRange(Key lo, Key hi,
+                                           LocalLookupCounters* counters,
+                                           rt::TraversalContext* ctx) const {
+    if (buckets_.empty() || lo > hi ||
+        static_cast<std::uint64_t>(lo) > rep_scene_.max_rep()) {
+      return std::nullopt;
     }
     int rays = 0;
+    // lo <= max_rep here, so a bucket always resolves; the has_value
+    // checks only protect against a corrupted scene.
     const auto bucket = LocateBucket(lo, &rays, ctx);
     counters->rays_fired += static_cast<std::uint64_t>(rays);
-    // lo <= max_rep here, so a bucket always resolves; the guard only
-    // protects against a corrupted scene.
+    if (bucket.has_value()) {
+      ++counters->buckets_probed;
+      buckets_.PrefetchBucket(*bucket);
+    }
+    return bucket;
+  }
+
+  /// Range stage 2: the scan from the located bucket.
+  LookupResult ScanRange(Key lo, Key hi,
+                         std::optional<std::uint32_t> bucket) const {
     if (!bucket.has_value()) return LookupResult{};
-    ++counters->buckets_probed;
     return buckets_.RangeScan(*bucket, lo, hi);
   }
 

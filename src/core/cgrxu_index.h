@@ -17,6 +17,7 @@
 #include "src/core/update_wave.h"
 #include "src/storage/format.h"
 #include "src/util/key_mapping.h"
+#include "src/util/prefetch.h"
 #include "src/util/radix_sort.h"
 
 namespace cgrx::core {
@@ -197,32 +198,39 @@ class CgrxuIndex {
     return result;
   }
 
-  /// Batched point lookups; batches of at least kCoherentBatchMin keys
-  /// are coherence-scheduled (see CoherentBatch): rays fire in
-  /// approximate key order and results scatter back to their original
-  /// slots.
+  /// Batched point lookups through PipelinedBatch: stage 1 raytraces to
+  /// the bucket and prefetches its head node, stage 2 walks the chain a
+  /// few lookups later. Batches of at least kCoherentBatchMin keys run
+  /// in approximate key order and results scatter back to their
+  /// original slots.
   void PointLookupBatch(const Key* keys, std::size_t count,
                         LookupResult* results,
                         const api::ExecutionPolicy& policy = {}) const {
-    CoherentBatch(keys, count, 256, policy, &counters_,
-                  [&](Key key, std::size_t orig, LocalLookupCounters* local,
-                      rt::TraversalContext* ctx) {
-                    results[orig] = LookupCounted(key, key, nullptr, local,
-                                                  ctx);
-                  });
+    PipelinedBatch(
+        keys, count, 256, policy, &counters_, results,
+        [this](Key key, LocalLookupCounters* local,
+               rt::TraversalContext* ctx) {
+          return Locate(key, key, local, ctx);
+        },
+        [this](Key key, std::optional<std::uint32_t> bucket) {
+          return Scan(key, key, bucket);
+        });
   }
 
-  /// Batched range lookups, coherence-scheduled by lower bound.
+  /// Batched range lookups, pipelined and coherence-scheduled by lower
+  /// bound like PointLookupBatch.
   void RangeLookupBatch(const KeyRange<Key>* ranges, std::size_t count,
                         LookupResult* results,
                         const api::ExecutionPolicy& policy = {}) const {
-    CoherentRangeBatch(ranges, count, 16, policy, &counters_,
-                       [&](std::size_t orig, LocalLookupCounters* local,
-                           rt::TraversalContext* ctx) {
-                         const KeyRange<Key>& r = ranges[orig];
-                         results[orig] = LookupCounted(r.lo, r.hi, nullptr,
-                                                       local, ctx);
-                       });
+    PipelinedBatch(
+        ranges, count, 16, policy, &counters_, results,
+        [this](const KeyRange<Key>& r, LocalLookupCounters* local,
+               rt::TraversalContext* ctx) {
+          return Locate(r.lo, r.hi, local, ctx);
+        },
+        [this](const KeyRange<Key>& r, std::optional<std::uint32_t> bucket) {
+          return Scan(r.lo, r.hi, bucket);
+        });
   }
 
   /// Touched buckets per task of an update wave: a wave that touches at
@@ -405,18 +413,40 @@ class CgrxuIndex {
   }
 
   /// Shared lookup core of PointLookup/RangeLookup ([lo, hi] with
-  /// lo == hi for points), counting into a caller-local accumulator.
+  /// lo == hi for points), counting into a caller-local accumulator:
+  /// both stages back to back.
   LookupResult LookupCounted(Key lo, Key hi, int* rays_used,
-                             LocalLookupCounters* counters,
-                             rt::TraversalContext* ctx = nullptr) const {
+                             LocalLookupCounters* counters) const {
+    return Scan(lo, hi, Locate(lo, hi, counters, nullptr, rays_used));
+  }
+
+  /// Lookup stage 1: locates the bucket owning `lo` and prefetches its
+  /// head node -- the meta_ entry, keys and rows the chain walk reads
+  /// first. An empty range fires no rays and probes nothing.
+  std::optional<std::uint32_t> Locate(Key lo, Key hi,
+                                      LocalLookupCounters* counters,
+                                      rt::TraversalContext* ctx,
+                                      int* rays_used = nullptr) const {
     if (rays_used != nullptr) *rays_used = 0;
-    if (lo > hi) return LookupResult{};
+    if (lo > hi) return std::nullopt;
     int rays = 0;
     const auto bucket = LocateBucket(lo, &rays, ctx);
     counters->rays_fired += static_cast<std::uint64_t>(rays);
     if (rays_used != nullptr) *rays_used = rays;
+    if (bucket.has_value()) {
+      ++counters->buckets_probed;
+      util::PrefetchRange(&meta_[*bucket], sizeof(NodeMeta));
+      util::PrefetchRange(NodeKeys(*bucket), node_capacity_ * sizeof(Key));
+      util::PrefetchRange(NodeRows(*bucket),
+                          node_capacity_ * sizeof(std::uint32_t));
+    }
+    return bucket;
+  }
+
+  /// Lookup stage 2: the chain scan from the located bucket.
+  LookupResult Scan(Key lo, Key hi,
+                    std::optional<std::uint32_t> bucket) const {
     if (!bucket.has_value()) return LookupResult{};
-    ++counters->buckets_probed;
     return ScanChain(*bucket, lo, hi);
   }
 

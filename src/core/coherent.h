@@ -2,9 +2,11 @@
 #define CGRX_SRC_CORE_COHERENT_H_
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <cstdint>
 #include <mutex>
+#include <type_traits>
 #include <vector>
 
 #include "src/api/execution_policy.h"
@@ -87,66 +89,106 @@ void CoherentOrder(const Key* keys, std::size_t count,
   }
 }
 
-/// Shared batch driver of the three raytracing indexes: executes
-/// `body(key, original_position, &local_counters, &traversal_context)`
-/// for every batch element, coherence-scheduled exactly when the batch
-/// holds at least kCoherentBatchMin keys, with one TraversalContext and
-/// one local counter accumulator per chunk (merged into `counters` once
-/// per chunk). Results must be written to disjoint slots via
-/// `original_position`, which keeps parallel, serial, coherent and
-/// batch-order execution byte-identical.
-template <typename Key, typename Body>
-void CoherentBatch(const Key* keys, std::size_t count, std::size_t grain,
-                   const api::ExecutionPolicy& policy,
-                   LookupCounters* counters, Body&& body) {
-  if (count >= kCoherentBatchMin) {
-    std::vector<Key> sorted;
-    std::vector<std::uint32_t> perm;
-    CoherentOrder(keys, count, &sorted, &perm, policy);
+/// Range-batch variant: schedules by each range's lower bound and
+/// gathers the ranges themselves into that order.
+template <typename Key>
+void CoherentOrder(const KeyRange<Key>* ranges, std::size_t count,
+                   std::vector<KeyRange<Key>>* sorted,
+                   std::vector<std::uint32_t>* perm,
+                   const api::ExecutionPolicy& policy = {}) {
+  std::vector<Key> lo_keys(count);
+  for (std::size_t i = 0; i < count; ++i) lo_keys[i] = ranges[i].lo;
+  std::vector<Key> sorted_lo;
+  CoherentOrder(lo_keys.data(), count, &sorted_lo, perm, policy);
+  sorted->resize(count);
+  for (std::size_t i = 0; i < count; ++i) (*sorted)[i] = ranges[(*perm)[i]];
+}
+
+/// Lookups in flight per chunk of a pipelined batch (see
+/// PipelinedBatch). Each lookup's bucket fetch is covered by the ray
+/// traversals of the next kPipelineDepth - 1 lookups. On a 2^20-key
+/// cgRX, depths 2 to 16 hide the fetch equally well, and depth 1 (no
+/// traversal in between) recovers less than half of the gain (DESIGN.md
+/// Section 5).
+inline constexpr std::size_t kPipelineDepth = 4;
+static_assert(std::has_single_bit(kPipelineDepth));
+
+namespace detail {
+
+/// One chunk of a pipelined batch: items[begin, end) in order, the i-th
+/// landing in results[perm[i]] (results[i] when `perm` is null).
+/// Lookup i's stage 2 runs right before lookup i + kPipelineDepth's
+/// stage 1, and the ring drains at the chunk's end.
+template <typename Item, typename Locate, typename Probe>
+void RunPipelinedChunk(const Item* items, const std::uint32_t* perm,
+                       std::size_t begin, std::size_t end,
+                       LookupCounters* counters, LookupResult* results,
+                       Locate& locate, Probe& probe) {
+  using Token = std::invoke_result_t<Locate&, const Item&,
+                                     LocalLookupCounters*,
+                                     rt::TraversalContext*>;
+  struct InFlight {
+    Item item{};
+    std::size_t orig = 0;
+    Token token{};
+  };
+  std::array<InFlight, kPipelineDepth> ring;
+  rt::TraversalContext ctx;
+  LocalLookupCounters local;
+  for (std::size_t i = begin; i < end; ++i) {
+    InFlight& slot = ring[(i - begin) % kPipelineDepth];
+    if (i - begin >= kPipelineDepth) {
+      results[slot.orig] = probe(slot.item, slot.token);
+    }
+    slot.item = items[i];
+    slot.orig = perm != nullptr ? perm[i] : i;
+    slot.token = locate(slot.item, &local, &ctx);
+  }
+  for (std::size_t i = end - std::min(end - begin, kPipelineDepth); i < end;
+       ++i) {
+    const InFlight& slot = ring[(i - begin) % kPipelineDepth];
+    results[slot.orig] = probe(slot.item, slot.token);
+  }
+  counters->Merge(local);
+}
+
+}  // namespace detail
+
+/// The batch driver of the three raytracing indexes. Every lookup runs
+/// in two stages, kPipelineDepth lookups apart:
+///
+///  1. `locate(item, &local_counters, &traversal_context) -> Token`
+///     fires the rays, counts them, and prefetches what stage 2 reads
+///     (cgRX and cgRXu return the located bucket; RX, whose lookup is
+///     all rays, returns its finished LookupResult).
+///  2. `probe(item, token) -> LookupResult` post-filters the bucket;
+///     the driver writes the result to the item's slot in `results`.
+///
+/// `Item` is a Key (point batches) or a KeyRange<Key> (range batches).
+/// A batch of at least kCoherentBatchMin items runs in CoherentOrder; a
+/// smaller one runs in caller order. Each chunk of `grain` items has its
+/// own TraversalContext, counter accumulator (merged into `counters`
+/// once) and in-flight ring (drained at the chunk's end), so chunks
+/// share no state and serial, parallel, coherent and caller-order
+/// execution give identical results and counters.
+template <typename Item, typename Locate, typename Probe>
+void PipelinedBatch(const Item* items, std::size_t count, std::size_t grain,
+                    const api::ExecutionPolicy& policy,
+                    LookupCounters* counters, LookupResult* results,
+                    Locate&& locate, Probe&& probe) {
+  if (count < kCoherentBatchMin) {
     policy.ForChunks(count, grain, [&](std::size_t begin, std::size_t end) {
-      rt::TraversalContext ctx;
-      LocalLookupCounters local;
-      for (std::size_t i = begin; i < end; ++i) {
-        body(sorted[i], static_cast<std::size_t>(perm[i]), &local, &ctx);
-      }
-      counters->Merge(local);
+      detail::RunPipelinedChunk(items, nullptr, begin, end, counters,
+                                results, locate, probe);
     });
     return;
   }
+  std::vector<Item> sorted;
+  std::vector<std::uint32_t> perm;
+  CoherentOrder(items, count, &sorted, &perm, policy);
   policy.ForChunks(count, grain, [&](std::size_t begin, std::size_t end) {
-    rt::TraversalContext ctx;
-    LocalLookupCounters local;
-    for (std::size_t i = begin; i < end; ++i) {
-      body(keys[i], i, &local, &ctx);
-    }
-    counters->Merge(local);
-  });
-}
-
-/// Range-batch variant: schedules by each range's lower bound. The
-/// lower-bound key copy is only materialized when coherence scheduling
-/// actually runs; a smaller batch iterates the ranges directly.
-/// `body(original_position, &local_counters, &traversal_context)` reads
-/// its range from the caller's array.
-template <typename Key, typename Body>
-void CoherentRangeBatch(const KeyRange<Key>* ranges, std::size_t count,
-                        std::size_t grain, const api::ExecutionPolicy& policy,
-                        LookupCounters* counters, Body&& body) {
-  if (count >= kCoherentBatchMin) {
-    std::vector<Key> lo_keys(count);
-    for (std::size_t i = 0; i < count; ++i) lo_keys[i] = ranges[i].lo;
-    CoherentBatch(lo_keys.data(), count, grain, policy, counters,
-                  [&](Key, std::size_t orig, LocalLookupCounters* local,
-                      rt::TraversalContext* ctx) { body(orig, local, ctx); });
-    return;
-  }
-  policy.ForChunks(count, grain, [&](std::size_t begin, std::size_t end) {
-    rt::TraversalContext ctx;
-    LocalLookupCounters local;
-    for (std::size_t i = begin; i < end; ++i) {
-      body(i, &local, &ctx);
-    }
-    counters->Merge(local);
+    detail::RunPipelinedChunk(sorted.data(), perm.data(), begin, end,
+                              counters, results, locate, probe);
   });
 }
 

@@ -121,33 +121,37 @@ class RxIndex {
     return result;
   }
 
-  /// Batched point lookups; batches of at least core::kCoherentBatchMin
-  /// keys are coherence-scheduled (see core::CoherentBatch): rays fire
-  /// in approximate key order so consecutive lookups hit neighbouring
-  /// triangles, and results scatter back to their original slots.
+  /// Batched point lookups through core::PipelinedBatch. RX has no
+  /// post-filter, so its stage 1 is the whole lookup and stage 2 passes
+  /// the result on. Batches of at least core::kCoherentBatchMin keys
+  /// fire their rays in approximate key order so consecutive lookups hit
+  /// neighbouring triangles, and results scatter back to their original
+  /// slots.
   void PointLookupBatch(const Key* keys, std::size_t count,
                         core::LookupResult* results,
                         const api::ExecutionPolicy& policy = {}) const {
-    core::CoherentBatch(keys, count, 256, policy, &counters_,
-                        [&](Key key, std::size_t orig,
-                            core::LocalLookupCounters* local,
-                            rt::TraversalContext* ctx) {
-                          results[orig] = PointLookupCounted(key, local, ctx);
-                        });
+    core::PipelinedBatch(
+        keys, count, 256, policy, &counters_, results,
+        [this](Key key, core::LocalLookupCounters* local,
+               rt::TraversalContext* ctx) {
+          return PointLookupCounted(key, local, ctx);
+        },
+        [](Key, const core::LookupResult& result) { return result; });
   }
 
   /// Batched range lookups, coherence-scheduled by lower bound.
   void RangeLookupBatch(const core::KeyRange<Key>* ranges, std::size_t count,
                         core::LookupResult* results,
                         const api::ExecutionPolicy& policy = {}) const {
-    core::CoherentRangeBatch(ranges, count, 16, policy, &counters_,
-                             [&](std::size_t orig,
-                                 core::LocalLookupCounters* local,
-                                 rt::TraversalContext* ctx) {
-                               const core::KeyRange<Key>& r = ranges[orig];
-                               results[orig] = RangeLookupCounted(r.lo, r.hi,
-                                                                  local, ctx);
-                             });
+    core::PipelinedBatch(
+        ranges, count, 16, policy, &counters_, results,
+        [this](const core::KeyRange<Key>& r, core::LocalLookupCounters* local,
+               rt::TraversalContext* ctx) {
+          return RangeLookupCounted(r.lo, r.hi, local, ctx);
+        },
+        [](const core::KeyRange<Key>&, const core::LookupResult& result) {
+          return result;
+        });
   }
 
   /// Insert via slot recycling + BVH refit. Activating parked slots

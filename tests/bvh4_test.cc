@@ -4,7 +4,8 @@
 // across all three builders, both scene representations, flipping
 // on/off, and post-Refit scenes; lookups of cgRX, cgRXu and RX against a
 // std::multimap oracle; the Bvh4 compression guarantee; and the
-// coherent-batch determinism contract.
+// coherent, pipelined batch contract (batches answer and count like
+// per-key lookups).
 #include <algorithm>
 #include <cstdint>
 #include <cstring>
@@ -765,6 +766,206 @@ TEST(CoherentBatches, RxAndCgrxuSortedBatchesMatchSubThresholdChunks) {
     index.Build(keys);
     ExpectCoherentBatchesMatchChunks(index, probes, ranges);
   }
+}
+
+// ---------------------------------------------------------------------
+// Pipelined batches: a lookup's stage 2 (the bucket post-filter) runs
+// kPipelineDepth lookups after its stage 1 (rays, bucket prefetch), and
+// the in-flight ring drains at the end of every chunk. At every batch
+// size around the depth and the coherence threshold, and with chunks
+// that are no multiple of the depth, a batch must return what the same
+// probes return one key at a time, and move rays_fired, buckets_probed
+// and filter_rejections by the same amounts.
+// ---------------------------------------------------------------------
+
+struct CounterValues {
+  std::uint64_t rays = 0;
+  std::uint64_t probed = 0;
+  std::uint64_t rejected = 0;
+
+  friend bool operator==(const CounterValues&, const CounterValues&) =
+      default;
+};
+
+template <typename Index>
+CounterValues ReadCounters(const Index& index) {
+  const core::LookupCounters& c = index.stat_counters();
+  return {c.rays_fired.load(std::memory_order_relaxed),
+          c.buckets_probed.load(std::memory_order_relaxed),
+          c.filter_rejections.load(std::memory_order_relaxed)};
+}
+
+CounterValues Delta(const CounterValues& before, const CounterValues& after) {
+  return {after.rays - before.rays, after.probed - before.probed,
+          after.rejected - before.rejected};
+}
+
+// Runs `batch(items, n, results, policy)` over the first n items for
+// each edge size n and each policy, against `single(item)` applied to
+// the same items one at a time.
+template <typename Index, typename Item, typename Batch, typename Single>
+void ExpectPipelinedBatchesMatchSingles(const Index& index,
+                                        const std::vector<Item>& items,
+                                        Batch&& batch, Single&& single) {
+  constexpr std::size_t kDepth = core::kPipelineDepth;
+  constexpr std::size_t kMin = core::kCoherentBatchMin;
+  ASSERT_GE(items.size(), kMin + 1);
+  // Per-item results and counter deltas, prefix-summed per batch size.
+  std::vector<LookupResult> expected(items.size());
+  std::vector<CounterValues> prefix(items.size() + 1);
+  for (std::size_t i = 0; i < items.size(); ++i) {
+    const CounterValues before = ReadCounters(index);
+    expected[i] = single(items[i]);
+    const CounterValues d = Delta(before, ReadCounters(index));
+    prefix[i + 1] = {prefix[i].rays + d.rays, prefix[i].probed + d.probed,
+                     prefix[i].rejected + d.rejected};
+  }
+  util::TaskScheduler scheduler(4);
+  const api::ExecutionPolicy policies[] = {
+      api::ExecutionPolicy::Serial(), api::ExecutionPolicy::Parallel(),
+      // A grain that is no multiple of the depth leaves partly filled
+      // rings at chunk ends.
+      api::ExecutionPolicy::Parallel(kDepth + 3, &scheduler)};
+  for (const std::size_t n : {std::size_t{0}, std::size_t{1}, kDepth - 1,
+                              kDepth, kDepth + 1, kMin - 1, kMin, kMin + 1}) {
+    for (const api::ExecutionPolicy& policy : policies) {
+      SCOPED_TRACE(testing::Message() << "batch size " << n << ", grain "
+                                      << policy.grain() << ", "
+                                      << (policy.serial() ? "serial"
+                                                          : "parallel"));
+      std::vector<LookupResult> got(n);
+      const CounterValues before = ReadCounters(index);
+      batch(items.data(), n, got.data(), policy);
+      EXPECT_EQ(Delta(before, ReadCounters(index)), prefix[n]);
+      EXPECT_TRUE(std::equal(got.begin(), got.end(), expected.begin()));
+    }
+  }
+}
+
+// Point probes led by the edge cases, so even a one-key batch meets
+// one: a key below the smallest representative (cgRX: bucket 0 without
+// rays), keys above the largest key (a cgRX miss, the cgRXu overflow
+// bucket), a stored key and an absent one; the rest mixes stored and
+// absent keys.
+std::vector<std::uint64_t> EdgePointProbes(
+    const std::vector<std::uint64_t>& keys, std::uint64_t space, Rng* rng) {
+  const auto [lo, hi] = std::minmax_element(keys.begin(), keys.end());
+  std::vector<std::uint64_t> probes = {0,       *hi + 1, keys[7],  space + 5,
+                                       *lo,     *hi,     ~0ULL,    keys[11],
+                                       *lo + 1, *hi - 1, keys[13], space + 9};
+  while (probes.size() < core::kCoherentBatchMin + 16) {
+    probes.push_back(rng->Below(2) == 0 ? keys[rng->Below(keys.size())]
+                                        : rng->Below(space));
+  }
+  return probes;
+}
+
+// Range probes led by the edge cases: lo > hi, lo above the largest
+// key, ranges spanning several buckets (one of them starting below
+// every key), and one below every key; the rest are random and narrow
+// or wide. Widths stay far below the key space: RX fires one ray per
+// grid row a range covers.
+std::vector<KeyRange<std::uint64_t>> EdgeRangeProbes(
+    const std::vector<std::uint64_t>& keys, std::uint64_t space, Rng* rng) {
+  const std::uint64_t hi = *std::max_element(keys.begin(), keys.end());
+  std::vector<KeyRange<std::uint64_t>> ranges = {
+      {keys[3] + 1, keys[3]}, {hi + 1, hi + 1000}, {keys[5], keys[5] + space / 64},
+      {0, 0},                 {0, space / 64},     {hi + 1, hi},
+      {keys[9], keys[9]},     {keys[2], keys[2] + space / 256}};
+  while (ranges.size() < core::kCoherentBatchMin + 16) {
+    const std::uint64_t lo = rng->Below(space);
+    const std::uint64_t width = rng->Below(2) == 0 ? space / 4096 : space / 256;
+    ranges.push_back({lo, lo + rng->Below(width)});
+  }
+  return ranges;
+}
+
+template <typename Index>
+void ExpectPipelinedIndexMatchesSingles(
+    const Index& index, const std::vector<std::uint64_t>& probes,
+    const std::vector<KeyRange<std::uint64_t>>& ranges) {
+  {
+    SCOPED_TRACE("point");
+    ExpectPipelinedBatchesMatchSingles(
+        index, probes,
+        [&index](const std::uint64_t* keys, std::size_t n, LookupResult* out,
+                 const api::ExecutionPolicy& policy) {
+          index.PointLookupBatch(keys, n, out, policy);
+        },
+        [&index](std::uint64_t key) { return index.PointLookup(key); });
+  }
+  {
+    SCOPED_TRACE("range");
+    ExpectPipelinedBatchesMatchSingles(
+        index, ranges,
+        [&index](const KeyRange<std::uint64_t>* first, std::size_t n,
+                 LookupResult* out, const api::ExecutionPolicy& policy) {
+          index.RangeLookupBatch(first, n, out, policy);
+        },
+        [&index](const KeyRange<std::uint64_t>& r) {
+          return index.RangeLookup(r.lo, r.hi);
+        });
+  }
+}
+
+constexpr std::uint64_t kPipelineKeySpace = 1ULL << 34;
+
+TEST(CoherentBatches, PipelinedCgrxBatchesMatchPerKeyLookups) {
+  Rng rng(53);
+  const std::vector<std::uint64_t> keys =
+      RandomKeys(8000, kPipelineKeySpace, &rng);
+  const std::vector<std::uint64_t> probes =
+      EdgePointProbes(keys, kPipelineKeySpace, &rng);
+  const std::vector<KeyRange<std::uint64_t>> ranges =
+      EdgeRangeProbes(keys, kPipelineKeySpace, &rng);
+  for (const double filter_bits : {0.0, 10.0}) {
+    SCOPED_TRACE(testing::Message() << "miss filter bits " << filter_bits);
+    CgrxConfig config;
+    config.miss_filter_bits_per_key = filter_bits;
+    CgrxIndex64 index(config);
+    index.Build(keys);
+    ASSERT_LT(index.rep_scene().min_rep(), index.rep_scene().max_rep());
+    ExpectPipelinedIndexMatchesSingles(index, probes, ranges);
+    if (filter_bits > 0) {
+      EXPECT_GT(index.stat_counters().filter_rejections.load(), 0u);
+    }
+  }
+}
+
+TEST(CoherentBatches, PipelinedCgrxuBatchesMatchPerKeyLookups) {
+  Rng rng(59);
+  const std::vector<std::uint64_t> keys =
+      RandomKeys(8000, kPipelineKeySpace, &rng);
+  CgrxuIndex64 index;
+  index.Build(keys);
+  // A wave that splits nodes inside the key range and fills the
+  // overflow bucket's chain above it.
+  std::vector<std::uint64_t> inserts;
+  std::vector<std::uint32_t> rows;
+  for (int i = 0; i < 600; ++i) {
+    inserts.push_back(i % 3 == 0 ? kPipelineKeySpace + rng.Below(1 << 20)
+                                 : rng.Below(kPipelineKeySpace));
+    rows.push_back(static_cast<std::uint32_t>(keys.size()) + i);
+  }
+  index.UpdateBatch(inserts, rows, {});
+  std::vector<std::uint64_t> all = keys;
+  all.insert(all.end(), inserts.begin(), inserts.end());
+  ExpectPipelinedIndexMatchesSingles(
+      index, EdgePointProbes(all, kPipelineKeySpace, &rng),
+      EdgeRangeProbes(all, kPipelineKeySpace, &rng));
+}
+
+TEST(CoherentBatches, PipelinedRxBatchesMatchPerKeyLookups) {
+  Rng rng(61);
+  // Fewer keys than for cgRX: an RX range ray runs along a whole grid
+  // row and visits most of the BVH, so its cost grows with the key count.
+  const std::vector<std::uint64_t> keys =
+      RandomKeys(2000, kPipelineKeySpace, &rng);
+  RxIndex64 index;
+  index.Build(keys);
+  ExpectPipelinedIndexMatchesSingles(
+      index, EdgePointProbes(keys, kPipelineKeySpace, &rng),
+      EdgeRangeProbes(keys, kPipelineKeySpace, &rng));
 }
 
 }  // namespace
