@@ -40,9 +40,6 @@ struct CgrxConfig {
   /// Triangle-flipping optimization (Section III-B); ablation switch.
   bool enable_flipping = true;
 
-  rt::BvhBuilder bvh_builder = rt::BvhBuilder::kBinnedSah;
-  int bvh_max_leaf_size = 4;
-
   /// Extension beyond the paper: a blocked Bloom miss-filter checked
   /// before firing rays. The paper's Figure 16 shows cgRX pays the full
   /// ray + bucket-search cost for in-range misses ("cgRX should be
@@ -384,8 +381,6 @@ class CgrxIndex {
     RepScene::Options options;
     options.representation = config_.representation;
     options.enable_flipping = config_.enable_flipping;
-    options.bvh_builder = config_.bvh_builder;
-    options.bvh_max_leaf_size = config_.bvh_max_leaf_size;
     rep_scene_.Build(reps, movable, mapping_, options);
   }
 

@@ -31,8 +31,6 @@ struct CgrxuConfig {
   Representation representation = Representation::kOptimized;
   bool scaled_mapping = true;
   bool enable_flipping = true;
-  rt::BvhBuilder bvh_builder = rt::BvhBuilder::kBinnedSah;
-  int bvh_max_leaf_size = 4;
   std::optional<util::KeyMapping> mapping_override;
 };
 
@@ -174,8 +172,6 @@ class CgrxuIndex {
     RepScene::Options options;
     options.representation = config_.representation;
     options.enable_flipping = config_.enable_flipping;
-    options.bvh_builder = config_.bvh_builder;
-    options.bvh_max_leaf_size = config_.bvh_max_leaf_size;
     rep_scene_.Build(reps, movable, mapping_, options);
   }
 

@@ -32,7 +32,7 @@ void RepScene::Build(const std::vector<std::uint64_t>& reps,
   } else {
     BuildOptimized(reps, movable);
   }
-  scene_.Build(options_.bvh_builder, options_.bvh_max_leaf_size);
+  scene_.Build();
 }
 
 /// Paper Algorithm 1: representatives at natural positions, explicit
@@ -356,8 +356,6 @@ std::size_t RepScene::ActiveTriangleCount() const {
 void RepScene::SaveState(util::ByteWriter* out) const {
   out->WriteU8(static_cast<std::uint8_t>(options_.representation));
   out->WriteBool(options_.enable_flipping);
-  out->WriteU8(static_cast<std::uint8_t>(options_.bvh_builder));
-  out->WriteI32(options_.bvh_max_leaf_size);
   out->WriteI32(mapping_.x_bits());
   out->WriteI32(mapping_.y_bits());
   out->WriteI32(mapping_.z_bits());
@@ -374,8 +372,6 @@ void RepScene::SaveState(util::ByteWriter* out) const {
 void RepScene::LoadState(util::ByteReader* in) {
   options_.representation = static_cast<Representation>(in->ReadU8());
   options_.enable_flipping = in->ReadBool();
-  options_.bvh_builder = static_cast<rt::BvhBuilder>(in->ReadU8());
-  options_.bvh_max_leaf_size = in->ReadI32();
   const int x_bits = in->ReadI32();
   const int y_bits = in->ReadI32();
   const int z_bits = in->ReadI32();

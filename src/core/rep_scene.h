@@ -34,8 +34,6 @@ class RepScene {
   struct Options {
     Representation representation = Representation::kOptimized;
     bool enable_flipping = true;
-    rt::BvhBuilder bvh_builder = rt::BvhBuilder::kBinnedSah;
-    int bvh_max_leaf_size = 4;
   };
 
   /// Builds the scene.

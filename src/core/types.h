@@ -42,7 +42,6 @@ struct LocalLookupCounters {
   std::uint64_t rays_fired = 0;
   std::uint64_t buckets_probed = 0;
   std::uint64_t filter_rejections = 0;
-  std::uint64_t update_buckets_swept = 0;
 };
 
 /// Cumulative lookup-path counters maintained by the raytracing-backed
@@ -101,10 +100,6 @@ struct LookupCounters {
     if (local.filter_rejections != 0) {
       filter_rejections.fetch_add(local.filter_rejections,
                                   std::memory_order_relaxed);
-    }
-    if (local.update_buckets_swept != 0) {
-      update_buckets_swept.fetch_add(local.update_buckets_swept,
-                                     std::memory_order_relaxed);
     }
   }
 };

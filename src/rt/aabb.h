@@ -1,7 +1,6 @@
 #ifndef CGRX_SRC_RT_AABB_H_
 #define CGRX_SRC_RT_AABB_H_
 
-#include <cmath>
 #include <limits>
 
 #include "src/rt/vec3.h"
@@ -46,35 +45,6 @@ struct Aabb {
     return min.x <= inner.min.x && min.y <= inner.min.y &&
            min.z <= inner.min.z && max.x >= inner.max.x &&
            max.y >= inner.max.y && max.z >= inner.max.z;
-  }
-
-  /// Slab test against a ray given as origin + inverse direction
-  /// (components of `inv_dir` are +-inf for zero direction components).
-  /// Returns the entry parameter through `*t_entry` when the ray
-  /// overlaps the box within [t_min, t_max]. A zero direction component
-  /// degenerates to an interval-membership test on that axis (inclusive
-  /// bounds), avoiding the 0 * inf = NaN pitfall of the plain slab test.
-  bool HitByRay(const Vec3d& origin, const Vec3d& inv_dir, double t_min,
-                double t_max, double* t_entry) const {
-    double lo = t_min;
-    double hi = t_max;
-    const double o[3] = {origin.x, origin.y, origin.z};
-    const double inv[3] = {inv_dir.x, inv_dir.y, inv_dir.z};
-    const float mn[3] = {min.x, min.y, min.z};
-    const float mx[3] = {max.x, max.y, max.z};
-    for (int axis = 0; axis < 3; ++axis) {
-      if (std::isinf(inv[axis])) {
-        if (o[axis] < mn[axis] || o[axis] > mx[axis]) return false;
-        continue;  // Inside the slab for every t.
-      }
-      const double t0 = (mn[axis] - o[axis]) * inv[axis];
-      const double t1 = (mx[axis] - o[axis]) * inv[axis];
-      lo = std::max(lo, std::min(t0, t1));
-      hi = std::min(hi, std::max(t0, t1));
-    }
-    if (lo > hi) return false;
-    *t_entry = lo;
-    return true;
   }
 };
 

@@ -2,10 +2,8 @@
 
 #include <algorithm>
 #include <array>
-#include <cassert>
 #include <mutex>
 
-#include "src/util/radix_sort.h"
 #include "src/util/task_scheduler.h"
 
 namespace cgrx::rt {
@@ -43,47 +41,15 @@ int LargestAxis(const Vec3f& extent) {
   return extent.y >= extent.z ? 1 : 2;
 }
 
-std::uint64_t ExpandBits21(std::uint64_t v) {
-  // Spreads the low 21 bits of v so there are two zero bits between
-  // consecutive payload bits (standard 3D Morton dilation).
-  v &= 0x1fffff;
-  v = (v | (v << 32)) & 0x1f00000000ffffULL;
-  v = (v | (v << 16)) & 0x1f0000ff0000ffULL;
-  v = (v | (v << 8)) & 0x100f00f00f00f00fULL;
-  v = (v | (v << 4)) & 0x10c30c30c30c30c3ULL;
-  v = (v | (v << 2)) & 0x1249249249249249ULL;
-  return v;
-}
-
-std::uint64_t MortonCode(const Vec3f& p, const Aabb& scene_bounds) {
-  const Vec3f extent = scene_bounds.Extent();
-  auto quantize = [](float value, float lo, float range) -> std::uint64_t {
-    if (range <= 0) return 0;
-    const float t = (value - lo) / range;
-    const float clamped = t < 0 ? 0.0f : t > 1 ? 1.0f : t;
-    return static_cast<std::uint64_t>(clamped * 2097151.0f);  // 2^21 - 1
-  };
-  const std::uint64_t x = quantize(p.x, scene_bounds.min.x, extent.x);
-  const std::uint64_t y = quantize(p.y, scene_bounds.min.y, extent.y);
-  const std::uint64_t z = quantize(p.z, scene_bounds.min.z, extent.z);
-  return (ExpandBits21(x) << 2) | (ExpandBits21(y) << 1) | ExpandBits21(z);
-}
-
 }  // namespace
 
-void Bvh::Build(const TriangleSoup& soup, BvhBuilder builder,
-                int max_leaf_size) {
-  // Leaf sizes are capped at 255 so the collapsed wide BVH can store
-  // any leaf's primitive count in a byte (and floored at 1, below
-  // which no split terminates).
-  max_leaf_size = std::clamp(max_leaf_size, 1, 255);
+void Bvh::Build(const TriangleSoup& soup) {
   nodes_.clear();
   prim_indices_.clear();
   refit_levels_.clear();
   refit_level_start_.clear();
   std::vector<BuildPrim> prims;
   prims.reserve(soup.size());
-  Aabb scene_bounds;
   for (std::uint32_t i = 0; i < soup.size(); ++i) {
     if (!soup.IsActive(i)) continue;
     BuildPrim p;
@@ -91,45 +57,16 @@ void Bvh::Build(const TriangleSoup& soup, BvhBuilder builder,
     p.centroid = p.bounds.Center();
     p.index = i;
     prims.push_back(p);
-    scene_bounds.Grow(p.bounds);
   }
   if (prims.empty()) return;
   util::TaskScheduler& scheduler = util::TaskScheduler::Global();
-  if (builder == BvhBuilder::kMorton) {
-    // Codes in parallel, then a stable sort by code: the radix sort's
-    // parallel passes keep equal codes in input order, so the sorted
-    // prim order (and therefore the tree) is execution-independent.
-    std::vector<std::uint64_t> codes(prims.size());
-    std::vector<std::uint32_t> positions(prims.size());
-    scheduler.ParallelFor(0, prims.size(),
-                          [&](std::size_t begin, std::size_t end) {
-                            for (std::size_t i = begin; i < end; ++i) {
-                              codes[i] = MortonCode(prims[i].centroid,
-                                                    scene_bounds);
-                              positions[i] =
-                                  static_cast<std::uint32_t>(i);
-                            }
-                          });
-    util::RadixSortPairs(&codes, &positions, 63);
-    std::vector<BuildPrim> sorted(prims.size());
-    scheduler.ParallelFor(0, prims.size(),
-                          [&](std::size_t begin, std::size_t end) {
-                            for (std::size_t i = begin; i < end; ++i) {
-                              sorted[i] = prims[positions[i]];
-                              sorted[i].morton = codes[i];
-                            }
-                          });
-    prims.swap(sorted);
-  }
-
   // Top phase: split large ranges (with parallel reductions inside the
   // split), deferring small subtrees to the frontier.
   nodes_.reserve(prims.size() * 2);
   nodes_.emplace_back();
   std::vector<BuildWork> frontier;
   BuildRanges(&prims, {{0, 0, static_cast<std::uint32_t>(prims.size()), 0}},
-              &nodes_, builder, max_leaf_size, &frontier,
-              FragmentCutoff(prims.size()));
+              &nodes_, &frontier, FragmentCutoff(prims.size()));
 
   // Fragment phase: every frontier subtree builds concurrently into a
   // local node vector (its prim range is a private slice of the shared
@@ -145,7 +82,7 @@ void Bvh::Build(const TriangleSoup& soup, BvhBuilder builder,
                 static_cast<std::size_t>(w.end - w.begin) * 2);
             fragments[f].emplace_back();
             BuildRanges(&prims, {{0, w.begin, w.end, w.depth}}, &fragments[f],
-                        builder, max_leaf_size, nullptr, 0);
+                        nullptr, 0);
           }
         });
     std::vector<std::uint32_t> offsets(frontier.size());
@@ -191,7 +128,6 @@ void Bvh::Build(const TriangleSoup& soup, BvhBuilder builder,
 
 void Bvh::BuildRanges(std::vector<BuildPrim>* prims,
                       std::vector<BuildWork> stack, std::vector<Node>* nodes,
-                      BvhBuilder builder, int max_leaf_size,
                       std::vector<BuildWork>* frontier,
                       std::uint32_t fragment_cutoff) {
   util::TaskScheduler& scheduler = util::TaskScheduler::Global();
@@ -223,7 +159,7 @@ void Bvh::BuildRanges(std::vector<BuildPrim>* prims,
     }
     (*nodes)[w.node].bounds = bounds;
     const std::uint32_t count = w.end - w.begin;
-    if (count <= static_cast<std::uint32_t>(max_leaf_size)) {
+    if (count <= kMaxLeafSize) {
       (*nodes)[w.node].prim_count = static_cast<std::uint16_t>(count);
       (*nodes)[w.node].left_or_first = w.begin;
       continue;
@@ -231,7 +167,7 @@ void Bvh::BuildRanges(std::vector<BuildPrim>* prims,
     int axis = 0;
     std::uint32_t mid = w.depth >= kMaxDepth
                             ? (w.begin + w.end) / 2
-                            : Partition(prims, w.begin, w.end, builder, &axis);
+                            : Partition(prims, w.begin, w.end, &axis);
     if (mid <= w.begin || mid >= w.end) mid = (w.begin + w.end) / 2;
     const auto left = static_cast<std::uint32_t>(nodes->size());
     nodes->emplace_back();
@@ -246,26 +182,9 @@ void Bvh::BuildRanges(std::vector<BuildPrim>* prims,
 
 std::uint32_t Bvh::Partition(std::vector<BuildPrim>* prims,
                              std::uint32_t begin, std::uint32_t end,
-                             BvhBuilder builder, int* axis) {
+                             int* axis) {
   auto first = prims->begin() + begin;
   auto last = prims->begin() + end;
-  if (builder == BvhBuilder::kMorton) {
-    const std::uint64_t lo = (*prims)[begin].morton;
-    const std::uint64_t hi = (*prims)[end - 1].morton;
-    if (lo == hi) return (begin + end) / 2;
-    // Split where the highest differing bit flips (prims are sorted by
-    // code, so this is a lower_bound).
-    const int bit = 63 - __builtin_clzll(lo ^ hi);
-    *axis = bit % 3 == 2 ? 0 : bit % 3 == 1 ? 1 : 2;
-    const std::uint64_t mask = ~((1ULL << bit) - 1);
-    const std::uint64_t pivot = (lo & mask) | (1ULL << bit);
-    auto it = std::lower_bound(first, last, pivot,
-                               [](const BuildPrim& p, std::uint64_t v) {
-                                 return p.morton < v;
-                               });
-    return static_cast<std::uint32_t>(it - prims->begin());
-  }
-
   util::TaskScheduler& scheduler = util::TaskScheduler::Global();
   const bool parallel = UseParallel(end - begin);
   Aabb centroid_bounds;
@@ -287,15 +206,6 @@ std::uint32_t Bvh::Partition(std::vector<BuildPrim>* prims,
   const float axis_extent = extent[*axis];
   if (axis_extent <= 0) return (begin + end) / 2;  // All centroids equal.
   const float axis_min = centroid_bounds.min[*axis];
-
-  if (builder == BvhBuilder::kMedianSplit) {
-    auto mid_it = first + (end - begin) / 2;
-    std::nth_element(first, mid_it, last,
-                     [a = *axis](const BuildPrim& x, const BuildPrim& y) {
-                       return x.centroid[a] < y.centroid[a];
-                     });
-    return static_cast<std::uint32_t>(mid_it - prims->begin());
-  }
 
   // Binned SAH. The bin histogram is a parallel chunk-local
   // count/bounds accumulation merged once per chunk; sums and exact
@@ -368,9 +278,9 @@ std::uint32_t Bvh::Partition(std::vector<BuildPrim>* prims,
   if (best_split < 0) return (begin + end) / 2;
   // The partition algorithm is chosen by range size ALONE, never by
   // thread count: the surviving intra-side order feeds positional
-  // downstream cuts (median fallbacks, nth_element ties), so every
-  // execution width must partition a given range identically for
-  // builds to stay byte-identical. Small ranges always take
+  // downstream cuts (median fallbacks), so every execution width must
+  // partition a given range identically for builds to stay
+  // byte-identical. Small ranges always take
   // std::partition; large ranges always take the chunked stable
   // partition below, whose stable output is chunk-count-independent
   // (and which simply runs inline on a serial scheduler).

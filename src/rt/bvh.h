@@ -10,20 +10,12 @@
 
 namespace cgrx::rt {
 
-/// BVH construction algorithm. The GPU driver's builder is proprietary;
-/// the paper's observations (Figure 9 and [7]) concern builder families,
-/// so three standard ones are provided. Binned SAH is the default and
-/// reproduces the row-clustering behaviour the scaled key mapping
-/// targets; Median and Morton exist for the builder ablation bench.
-enum class BvhBuilder {
-  kBinnedSah,
-  kMedianSplit,
-  kMorton,
-};
-
 /// Bounding volume hierarchy over the active triangles of a
 /// TriangleSoup. Stand-in for the acceleration structure built by
-/// optixAccelBuild (DESIGN.md Section 2).
+/// optixAccelBuild (DESIGN.md Section 2). The GPU driver's builder is
+/// proprietary; this one is a binned-SAH build, which reproduces the
+/// row-clustering behaviour the scaled key mapping targets (Figure 9),
+/// with leaves of at most kMaxLeafSize primitives.
 ///
 /// Nodes are stored parent-before-children, so Refit() can run a single
 /// reverse sweep; leaves reference a packed primitive-index array.
@@ -48,11 +40,14 @@ class Bvh {
     bool IsLeaf() const { return prim_count > 0; }
   };
 
+  /// Most primitives per leaf. The collapsed wide BVH stores a leaf's
+  /// primitive count in a byte, so the cap must stay below 256.
+  static constexpr std::uint32_t kMaxLeafSize = 4;
+
   /// Builds the hierarchy over all active slots of `soup`. Degenerate
   /// slots are culled (they keep their primitive index but belong to no
   /// leaf, like zero-area triangles in hardware builders).
-  void Build(const TriangleSoup& soup, BvhBuilder builder,
-             int max_leaf_size = 4);
+  void Build(const TriangleSoup& soup);
 
   /// Recomputes all node bounds from the current vertex data without
   /// restructuring -- the exact analogue of
@@ -96,7 +91,6 @@ class Bvh {
     Aabb bounds;
     Vec3f centroid;
     std::uint32_t index = 0;
-    std::uint64_t morton = 0;
   };
 
   /// A node slot awaiting construction over prims [begin, end).
@@ -115,15 +109,16 @@ class Bvh {
   /// global array position (see Build), so emission order is free.
   static void BuildRanges(std::vector<BuildPrim>* prims,
                           std::vector<BuildWork> stack,
-                          std::vector<Node>* nodes, BvhBuilder builder,
-                          int max_leaf_size, std::vector<BuildWork>* frontier,
+                          std::vector<Node>* nodes,
+                          std::vector<BuildWork>* frontier,
                           std::uint32_t fragment_cutoff);
 
-  /// Chooses the split position in [begin, end); returns `begin` or
-  /// `end` when no split is useful (caller falls back to a median cut).
+  /// Partitions [begin, end) at the binned-SAH split and returns the
+  /// split position; returns `begin` or `end` when no split is useful
+  /// (caller falls back to a median cut).
   static std::uint32_t Partition(std::vector<BuildPrim>* prims,
                                  std::uint32_t begin, std::uint32_t end,
-                                 BvhBuilder builder, int* axis);
+                                 int* axis);
 
   std::vector<Node> nodes_;
   std::vector<std::uint32_t> prim_indices_;

@@ -16,8 +16,7 @@ namespace cgrx::rt {
 /// structure every lookup ray traverses.
 ///
 /// The binary Bvh stays the build/refit substrate (its topology is what
-/// hardware builders produce and what the builder ablation measures);
-/// Bvh4 is flattened from it: every node absorbs up to three binary
+/// hardware builders produce); Bvh4 is flattened from it: every node absorbs up to three binary
 /// internal nodes and exposes their up-to-four subtrees as children.
 /// Child AABBs are stored as uint8 grid offsets against the node's own
 /// bounds (the parent frame), with one power-of-two dequantization scale
@@ -48,21 +47,6 @@ class Bvh4 {
     float Scale(int axis) const {
       return std::bit_cast<float>(static_cast<std::uint32_t>(exp[axis])
                                   << 23);
-    }
-
-    /// Reconstructs the conservative bounds of child `c`.
-    Aabb ChildBounds(int c) const {
-      Aabb box;
-      const float sx = Scale(0);
-      const float sy = Scale(1);
-      const float sz = Scale(2);
-      box.min = {origin.x + static_cast<float>(qlo[0][c]) * sx,
-                 origin.y + static_cast<float>(qlo[1][c]) * sy,
-                 origin.z + static_cast<float>(qlo[2][c]) * sz};
-      box.max = {origin.x + static_cast<float>(qhi[0][c]) * sx,
-                 origin.y + static_cast<float>(qhi[1][c]) * sy,
-                 origin.z + static_cast<float>(qhi[2][c]) * sz};
-      return box;
     }
   };
   static_assert(sizeof(Node) == 64, "Bvh4 node must be one cache line");

@@ -13,8 +13,8 @@ namespace cgrx::rt {
 /// specified length" is expressed through [t_min, t_max].
 struct Ray {
   Vec3f origin;
-  Vec3f direction;  ///< Not required to be normalized; axis unit vectors
-                    ///< in all index code paths.
+  Vec3f direction;  ///< A +x, +y or +z unit vector; rt::Scene throws
+                    ///< std::invalid_argument for any other.
   float t_min = 0;
   float t_max = std::numeric_limits<float>::infinity();
 };

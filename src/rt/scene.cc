@@ -1,6 +1,7 @@
 #include "src/rt/scene.h"
 
-#include <cmath>
+#include <algorithm>
+#include <stdexcept>
 
 #include "src/rt/wide_slab.h"
 
@@ -11,61 +12,14 @@ double Component(const Vec3d& v, int axis) {
   return axis == 0 ? v.x : axis == 1 ? v.y : v.z;
 }
 
-/// Identifies +axis unit rays (the only rays the indexes fire); those
-/// take a comparison-heavy fast path instead of the general slab test.
+/// The axis of a +x, +y or +z unit direction, the only rays the indexes
+/// fire; throws std::invalid_argument for any other direction.
 int PositiveAxisOf(const Vec3f& d) {
   if (d.x == 1 && d.y == 0 && d.z == 0) return 0;
   if (d.x == 0 && d.y == 1 && d.z == 0) return 1;
   if (d.x == 0 && d.y == 0 && d.z == 1) return 2;
-  return -1;
+  throw std::invalid_argument("rt::Scene casts only +x, +y or +z unit rays");
 }
-
-Vec3d InverseDirection(const Vec3f& d) {
-  // Zero components become +-inf; Aabb::HitByRay handles the resulting
-  // NaN corner cases conservatively.
-  return {1.0 / static_cast<double>(d.x), 1.0 / static_cast<double>(d.y),
-          1.0 / static_cast<double>(d.z)};
-}
-
-/// General ray policy: full slab test + Moller-Trumbore.
-struct GenericRayPolicy {
-  Vec3d origin;
-  Vec3d direction;
-  Vec3d inv_dir;
-
-  bool BoxHit(const Aabb& bounds, double t_min, double t_max,
-              double* t_entry) const {
-    return bounds.HitByRay(origin, inv_dir, t_min, t_max, t_entry);
-  }
-
-  /// Quantized-child box test over all children of `node`: dequantizes
-  /// each child and runs the slab test (the generic path is cold, so
-  /// the per-child Scale() recomputation inside ChildBounds is fine).
-  /// The explicit inverted-bounds check matters here: a refit-emptied
-  /// child (qlo > qhi) would otherwise pass the slab test's swapped
-  /// planes.
-  int WideChildrenHit(const Bvh4::Node& node, const float* /*scale*/,
-                      double t_min, double t_max,
-                      double t_entry[Bvh4::kWidth]) const {
-    int mask = 0;
-    for (int c = 0; c < node.num_children; ++c) {
-      if (node.qlo[0][c] > node.qhi[0][c]) continue;
-      double t = 0;
-      if (node.ChildBounds(c).HitByRay(origin, inv_dir, t_min, t_max, &t)) {
-        t_entry[c] = t;
-        mask |= 1 << c;
-      }
-    }
-    return mask;
-  }
-
-  bool TriangleHit(const TriangleSoup& soup, std::uint32_t prim,
-                   double t_min, double t_max, double* t,
-                   bool* front) const {
-    return IntersectTriangle(soup, prim, origin, direction, t_min, t_max, t,
-                             front);
-  }
-};
 
 /// +axis unit-ray policy. The two fixed axes reduce the box test to
 /// interval-membership comparisons; the triangle test becomes a 2D
@@ -152,21 +106,15 @@ struct AxisRayPolicy {
   }
 };
 
-/// Invokes `fn` with the specialized policy for `ray`'s direction.
+/// Invokes `fn` with the policy for `ray`, whose `axis` PositiveAxisOf
+/// returned. Every cast checks the direction before its empty-scene
+/// return, so a non-axis ray throws whatever the scene holds.
 template <typename Fn>
-decltype(auto) WithPolicy(const Ray& ray, Fn&& fn) {
+decltype(auto) WithPolicy(int axis, const Ray& ray, Fn&& fn) {
   const Vec3d origin(ray.origin);
-  switch (PositiveAxisOf(ray.direction)) {
-    case 0:
-      return fn(AxisRayPolicy<0>(origin));
-    case 1:
-      return fn(AxisRayPolicy<1>(origin));
-    case 2:
-      return fn(AxisRayPolicy<2>(origin));
-    default:
-      return fn(GenericRayPolicy{origin, Vec3d(ray.direction),
-                                 InverseDirection(ray.direction)});
-  }
+  if (axis == 0) return fn(AxisRayPolicy<0>(origin));
+  if (axis == 1) return fn(AxisRayPolicy<1>(origin));
+  return fn(AxisRayPolicy<2>(origin));
 }
 
 /// Closest-hit accumulator shared by both traversals: deterministic
@@ -416,27 +364,30 @@ void CastAll4(const TriangleSoup& soup, const Bvh4& bvh,
 
 std::optional<Hit> Scene::CastRayBinary(const Ray& ray,
                                         TraversalStats* stats) const {
+  const int axis = PositiveAxisOf(ray.direction);
   if (bvh_.empty()) return std::nullopt;
-  return WithPolicy(ray, [&](const auto& policy) {
+  return WithPolicy(axis, ray, [&](const auto& policy) {
     return CastClosest(soup_, bvh_, policy, ray.t_min, ray.t_max, stats);
   });
 }
 
 void Scene::CastRayCollectAllBinary(const Ray& ray, std::vector<Hit>* hits,
                                     TraversalStats* stats) const {
+  const int axis = PositiveAxisOf(ray.direction);
   if (bvh_.empty()) return;
-  WithPolicy(ray, [&](const auto& policy) {
+  WithPolicy(axis, ray, [&](const auto& policy) {
     CastAll(soup_, bvh_, policy, ray.t_min, ray.t_max, hits, stats);
   });
 }
 
 bool Scene::CastRayInto(const Ray& ray, Hit* hit, TraversalContext* ctx,
                         TraversalStats* stats) const {
+  const int axis = PositiveAxisOf(ray.direction);
   if (bvh4_.empty()) return false;
   TraversalContext local;
   detail::TraversalStackEntry* stack =
       ctx != nullptr ? ctx->stack_ : local.stack_;
-  return WithPolicy(ray, [&](const auto& policy) {
+  return WithPolicy(axis, ray, [&](const auto& policy) {
     return CastClosest4(soup_, bvh4_, bvh_.prim_indices().data(), policy,
                         ray.t_min, ray.t_max, hit, stack, stats);
   });
@@ -451,9 +402,10 @@ std::optional<Hit> Scene::CastRay(const Ray& ray,
 
 void Scene::CastRayCollectAll(const Ray& ray, std::vector<Hit>* hits,
                               TraversalStats* stats) const {
+  const int axis = PositiveAxisOf(ray.direction);
   if (bvh4_.empty()) return;
   TraversalContext local;
-  WithPolicy(ray, [&](const auto& policy) {
+  WithPolicy(axis, ray, [&](const auto& policy) {
     CastAll4(soup_, bvh4_, bvh_.prim_indices().data(), policy, ray.t_min,
              ray.t_max, hits, local.stack_, stats);
   });
@@ -461,9 +413,10 @@ void Scene::CastRayCollectAll(const Ray& ray, std::vector<Hit>* hits,
 
 void Scene::CastRayCollectAll(const Ray& ray, TraversalContext* ctx,
                               TraversalStats* stats) const {
+  const int axis = PositiveAxisOf(ray.direction);
   ctx->hits.clear();
   if (bvh4_.empty()) return;
-  WithPolicy(ray, [&](const auto& policy) {
+  WithPolicy(axis, ray, [&](const auto& policy) {
     CastAll4(soup_, bvh4_, bvh_.prim_indices().data(), policy, ray.t_min,
              ray.t_max, &ctx->hits, ctx->stack_, stats);
   });

@@ -64,6 +64,12 @@ class TraversalContext {
 ///  * CastRayCollectAll() mirrors an any-hit program that ignores every
 ///    intersection to enumerate all hits (RX range lookups).
 ///
+/// Every cast takes a +x, +y or +z unit ray, the only rays the indexes
+/// fire (paper Sections II-III), and throws std::invalid_argument for
+/// any other direction, whether or not the scene holds triangles. The
+/// fixed direction turns the box test into interval compares and the
+/// triangle test into 2D edge functions (DESIGN.md Section 2).
+///
 /// Lookup rays traverse the collapsed 4-ary quantized Bvh4. The binary
 /// BVH it is flattened from stays as the build and refit substrate and
 /// as the reference oracle (CastRayBinary/CastRayCollectAllBinary).
@@ -95,9 +101,8 @@ class Scene {
   /// (Re)builds the acceleration structures from scratch: the binary
   /// BVH is the build substrate, then flattened into the wide Bvh4 that
   /// lookup rays traverse.
-  void Build(BvhBuilder builder = BvhBuilder::kBinnedSah,
-             int max_leaf_size = 4) {
-    bvh_.Build(soup_, builder, max_leaf_size);
+  void Build() {
+    bvh_.Build(soup_);
     bvh4_.Build(bvh_);
   }
 

@@ -43,34 +43,4 @@ Aabb TriangleSoup::BoundsOf(std::uint32_t index) const {
   return box;
 }
 
-bool IntersectTriangle(const TriangleSoup& soup, std::uint32_t index,
-                       const Vec3d& origin, const Vec3d& direction,
-                       double t_min, double t_max, double* t,
-                       bool* front_face) {
-  const Vec3d v0(soup.Vertex(index, 0));
-  const Vec3d v1(soup.Vertex(index, 1));
-  const Vec3d v2(soup.Vertex(index, 2));
-  const Vec3d e1 = v1 - v0;
-  const Vec3d e2 = v2 - v0;
-  const Vec3d pvec = Cross(direction, e2);
-  const double det = Dot(e1, pvec);
-  if (det == 0.0) return false;  // Parallel or degenerate.
-  const double inv_det = 1.0 / det;
-  const Vec3d tvec = origin - v0;
-  const double u = Dot(tvec, pvec) * inv_det;
-  if (u < 0.0 || u > 1.0) return false;
-  const Vec3d qvec = Cross(tvec, e1);
-  const double v = Dot(direction, qvec) * inv_det;
-  if (v < 0.0 || u + v > 1.0) return false;
-  const double hit_t = Dot(e2, qvec) * inv_det;
-  if (hit_t < t_min || hit_t > t_max) return false;
-  *t = hit_t;
-  // Counter-clockwise winding toward the ray <=> geometric normal points
-  // against the ray direction <=> det < 0 for left-handed... det is
-  // dot(e1, cross(dir, e2)) = -dot(dir, cross(e1, e2)) = -dot(dir, n),
-  // so the ray sees the front face exactly when det > 0.
-  *front_face = det > 0.0;
-  return true;
-}
-
 }  // namespace cgrx::rt

@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "src/rt/aabb.h"
-#include "src/rt/ray.h"
 #include "src/rt/vec3.h"
 
 namespace cgrx::rt {
@@ -68,14 +67,6 @@ class TriangleSoup {
  private:
   std::vector<float> vertices_;
 };
-
-/// Moller-Trumbore ray/triangle intersection (double-precision math over
-/// the float32 vertices). On a hit, fills `*t` with the ray parameter
-/// and `*front_face` from the winding order as seen by the ray.
-bool IntersectTriangle(const TriangleSoup& soup, std::uint32_t index,
-                       const Vec3d& origin, const Vec3d& direction,
-                       double t_min, double t_max, double* t,
-                       bool* front_face);
 
 }  // namespace cgrx::rt
 

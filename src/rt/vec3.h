@@ -32,7 +32,7 @@ struct Vec3f {
 /// Double-precision vector used inside the intersection kernels. Scene
 /// geometry stays float32 (see Vec3f); promoting the arithmetic keeps
 /// the software traverser robust at coordinates up to 2^43 where float32
-/// cross products would lose the tiny triangle extents (documented
+/// edge functions would lose the tiny triangle extents (documented
 /// deviation in DESIGN.md Section 6).
 struct Vec3d {
   double x = 0;
@@ -40,28 +40,8 @@ struct Vec3d {
   double z = 0;
 
   Vec3d() = default;
-  Vec3d(double xx, double yy, double zz) : x(xx), y(yy), z(zz) {}
   explicit Vec3d(const Vec3f& v) : x(v.x), y(v.y), z(v.z) {}
-
-  friend Vec3d operator+(Vec3d a, Vec3d b) {
-    return {a.x + b.x, a.y + b.y, a.z + b.z};
-  }
-  friend Vec3d operator-(Vec3d a, Vec3d b) {
-    return {a.x - b.x, a.y - b.y, a.z - b.z};
-  }
-  friend Vec3d operator*(double s, Vec3d v) {
-    return {s * v.x, s * v.y, s * v.z};
-  }
 };
-
-inline double Dot(const Vec3d& a, const Vec3d& b) {
-  return a.x * b.x + a.y * b.y + a.z * b.z;
-}
-
-inline Vec3d Cross(const Vec3d& a, const Vec3d& b) {
-  return {a.y * b.z - a.z * b.y, a.z * b.x - a.x * b.z,
-          a.x * b.y - a.y * b.x};
-}
 
 inline Vec3f Min(const Vec3f& a, const Vec3f& b) {
   return {std::min(a.x, b.x), std::min(a.y, b.y), std::min(a.z, b.z)};

@@ -27,8 +27,6 @@ struct RxConfig {
   /// every query ray, and are activated in place by inserts.
   double spare_capacity = 0.25;
 
-  rt::BvhBuilder bvh_builder = rt::BvhBuilder::kBinnedSah;
-  int bvh_max_leaf_size = 4;
   std::optional<util::KeyMapping> mapping_override;
 };
 
@@ -98,7 +96,7 @@ class RxIndex {
       row_of_slot_.push_back(0);
       free_slots_.push_back(slot);
     }
-    scene_.Build(config_.bvh_builder, config_.bvh_max_leaf_size);
+    scene_.Build();
   }
 
   /// Point lookup: one x-ray of length 1 through the key's position,
@@ -113,7 +111,10 @@ class RxIndex {
 
   /// Range lookup [lo, hi]: one all-hits ray per grid row covered by the
   /// range ("firing one or multiple rays in parallel to the x-axis"),
-  /// each limited to the in-range x-span of its row.
+  /// each limited to the in-range x-span of its row. A range covering
+  /// at least as many rows as the vertex buffer has slots is answered
+  /// by one pass over the slot table instead, firing no rays: a 64-bit
+  /// range can span 2^41 rows.
   core::LookupResult RangeLookup(Key lo, Key hi) const {
     core::LocalLookupCounters local;
     const core::LookupResult result = RangeLookupCounted(lo, hi, &local);
@@ -178,7 +179,7 @@ class RxIndex {
     if (!rebuilt) {
       scene_.Refit();
     } else {
-      scene_.Build(config_.bvh_builder, config_.bvh_max_leaf_size);
+      scene_.Build();
     }
   }
 
@@ -310,6 +311,14 @@ class RxIndex {
     if (scene_.triangle_count() == 0 || lo > hi) return result;
     const std::uint64_t row_lo = mapping_.RowKey(lo);
     const std::uint64_t row_hi = mapping_.RowKey(hi);
+    if (row_hi - row_lo >= key_of_slot_.size()) {
+      for (std::uint32_t s = 0; s < key_of_slot_.size(); ++s) {
+        if (key_of_slot_[s] >= lo && key_of_slot_[s] <= hi && IsLiveSlot(s)) {
+          result.Accumulate(row_of_slot_[s]);
+        }
+      }
+      return result;
+    }
     rt::TraversalContext local;
     if (ctx == nullptr) ctx = &local;
     for (std::uint64_t row = row_lo; row <= row_hi; ++row) {
@@ -339,7 +348,7 @@ class RxIndex {
     keys.reserve(live_);
     rows.reserve(live_);
     for (std::uint32_t s = 0; s < key_of_slot_.size(); ++s) {
-      if (scene_.soup().IsActive(s) && IsDataSlot(s)) {
+      if (IsLiveSlot(s)) {
         keys.push_back(key_of_slot_[s]);
         rows.push_back(row_of_slot_[s]);
       }
@@ -347,10 +356,12 @@ class RxIndex {
     return {std::move(keys), std::move(rows)};
   }
 
-  /// Parked slots are active triangles at x = -2; data slots are at
-  /// x >= -0.5.
-  bool IsDataSlot(std::uint32_t slot) const {
-    return scene_.soup().Vertex(slot, 0).x >= -1.0f;
+  /// A slot holds a live key when its triangle is active and is not
+  /// parked: parked slots are active triangles at x = -2, data slots are
+  /// at x >= -0.5, and erased slots are degenerate.
+  bool IsLiveSlot(std::uint32_t slot) const {
+    return scene_.soup().IsActive(slot) &&
+           scene_.soup().Vertex(slot, 0).x >= -1.0f;
   }
 
   void GrowAndRebuild(std::size_t more) {

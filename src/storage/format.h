@@ -50,7 +50,7 @@ class VersionMismatchError : public Error {
 inline constexpr std::uint64_t kSnapshotMagic = 0x0050'4E53'5852'4743ULL;
 /// Current snapshot format version. Bump on any incompatible layout
 /// change; readers reject other versions with VersionMismatchError.
-inline constexpr std::uint32_t kSnapshotVersion = 3;
+inline constexpr std::uint32_t kSnapshotVersion = 4;
 /// Per-section frame magic ("SECT").
 inline constexpr std::uint32_t kSectionMagic = 0x54434553u;
 /// Payload checksum granularity: each section frame carries one

@@ -1,8 +1,8 @@
 // Equivalence suite for the wide (Bvh4) traversal that every lookup ray
 // takes, against the binary BVH it is built from, kept as the reference
 // oracle: identical closest hits and identical collect-all hit sets
-// across all three builders, both scene representations, flipping
-// on/off, and post-Refit scenes; lookups of cgRX, cgRXu and RX against a
+// across both scene representations, flipping on/off, and post-Refit
+// scenes; lookups of cgRX, cgRXu and RX against a
 // std::multimap oracle; the Bvh4 compression guarantee; and the
 // coherent, pipelined batch contract (batches answer and count like
 // per-key lookups).
@@ -36,7 +36,6 @@ using ::cgrx::core::CgrxuIndex64;
 using ::cgrx::core::KeyRange;
 using ::cgrx::core::LookupResult;
 using ::cgrx::core::Representation;
-using ::cgrx::rt::BvhBuilder;
 using ::cgrx::rt::Hit;
 using ::cgrx::rt::Ray;
 using ::cgrx::rt::Scene;
@@ -76,9 +75,9 @@ void ExpectMatchesBinaryOracle(const Scene& scene, const Ray& ray) {
   }
 }
 
-// Probes a scene with axis rays through a grid slab plus generic
-// diagonal rays, comparing the wide traversal with the binary oracle on
-// every cast.
+// Probes a scene with +x, +y and +z rays through random points of its
+// bounds, comparing the wide traversal with the binary oracle on every
+// cast.
 void ProbeScene(const Scene& scene, Rng* rng, int probes) {
   if (scene.triangle_count() == 0) return;
   // Bounding region of the scene's active triangles.
@@ -107,14 +106,6 @@ void ProbeScene(const Scene& scene, Rng* rng, int probes) {
       ray.t_max = (axis == 0 ? extent.x : axis == 1 ? extent.y : extent.z) + 2;
       ExpectMatchesBinaryOracle(scene, ray);
     }
-    // Generic (non-axis) ray through the same point.
-    Ray diag;
-    diag.origin = {bounds.min.x - 1, bounds.min.y - 1, bounds.min.z - 1};
-    diag.direction = {fx - diag.origin.x, fy - diag.origin.y,
-                      fz - diag.origin.z};
-    diag.t_min = 0;
-    diag.t_max = 3;
-    ExpectMatchesBinaryOracle(scene, diag);
   }
 }
 
@@ -191,35 +182,29 @@ void ExpectPointLookupsMatchOracle(const Index& index, const Oracle& oracle,
 }
 
 // ---------------------------------------------------------------------
-// Raw traversal equivalence on cgRX scenes over every builder /
-// representation / flipping combination.
+// Raw traversal equivalence on cgRX scenes over every representation /
+// flipping combination.
 // ---------------------------------------------------------------------
 
-TEST(Bvh4Equivalence, AllBuildersRepresentationsAndFlipping) {
+TEST(Bvh4Equivalence, RepresentationsAndFlipping) {
   Rng rng(7);
   const std::vector<std::uint64_t> keys =
       RandomKeys(6000, 1ULL << 23, &rng);  // Example-mapping key space.
-  for (const BvhBuilder builder :
-       {BvhBuilder::kBinnedSah, BvhBuilder::kMedianSplit,
-        BvhBuilder::kMorton}) {
-    for (const Representation representation :
-         {Representation::kNaive, Representation::kOptimized}) {
-      for (const bool flipping : {false, true}) {
-        CgrxConfig config;
-        config.bucket_size = 8;
-        config.bvh_builder = builder;
-        config.representation = representation;
-        config.enable_flipping = flipping;
-        config.mapping_override = util::KeyMapping::Example();
-        CgrxIndex64 index(config);
-        index.Build(keys);
-        SCOPED_TRACE(testing::Message()
-                     << "builder=" << static_cast<int>(builder)
-                     << " representation=" << static_cast<int>(representation)
-                     << " flipping=" << flipping);
-        Rng probe_rng(13);
-        ProbeScene(index.scene(), &probe_rng, 60);
-      }
+  for (const Representation representation :
+       {Representation::kNaive, Representation::kOptimized}) {
+    for (const bool flipping : {false, true}) {
+      CgrxConfig config;
+      config.bucket_size = 8;
+      config.representation = representation;
+      config.enable_flipping = flipping;
+      config.mapping_override = util::KeyMapping::Example();
+      CgrxIndex64 index(config);
+      index.Build(keys);
+      SCOPED_TRACE(testing::Message()
+                   << "representation=" << static_cast<int>(representation)
+                   << " flipping=" << flipping);
+      Rng probe_rng(13);
+      ProbeScene(index.scene(), &probe_rng, 60);
     }
   }
 }
@@ -597,53 +582,47 @@ TEST(WideSlab, HandlesEmptyMarkedAndPartialNodes) {
 TEST(ParallelBuild, SerialAndParallelBuildsAreByteIdentical) {
   Rng rng(71);
   const std::vector<std::uint64_t> keys = RandomKeys(40000, 1ULL << 38, &rng);
-  for (const BvhBuilder builder :
-       {BvhBuilder::kBinnedSah, BvhBuilder::kMedianSplit,
-        BvhBuilder::kMorton}) {
-    SCOPED_TRACE(testing::Message() << "builder=" << static_cast<int>(builder));
-    CgrxConfig config;
-    config.bucket_size = 16;
-    config.bvh_builder = builder;
-    CgrxIndex64 parallel_index(config);
-    parallel_index.Build(keys);
-    CgrxIndex64 serial_index(config);
-    {
-      util::TaskScheduler::SerialScope force_serial;
-      serial_index.Build(keys);
-    }
-    const rt::Bvh& pb = parallel_index.scene().bvh();
-    const rt::Bvh& sb = serial_index.scene().bvh();
-    ASSERT_EQ(pb.nodes().size(), sb.nodes().size());
-    for (std::size_t i = 0; i < pb.nodes().size(); ++i) {
-      ASSERT_EQ(std::memcmp(&pb.nodes()[i], &sb.nodes()[i],
-                            sizeof(rt::Bvh::Node)),
-                0)
-          << "node " << i;
-    }
-    ASSERT_EQ(pb.prim_indices(), sb.prim_indices());
-    const rt::Bvh4& p4 = parallel_index.scene().bvh4();
-    const rt::Bvh4& s4 = serial_index.scene().bvh4();
-    ASSERT_EQ(p4.nodes().size(), s4.nodes().size());
-    for (std::size_t i = 0; i < p4.nodes().size(); ++i) {
-      // Field-wise (the 64-byte node has tail padding memcmp would
-      // trip on).
-      const rt::Bvh4::Node& p = p4.nodes()[i];
-      const rt::Bvh4::Node& s = s4.nodes()[i];
-      ASSERT_EQ(p.num_children, s.num_children) << "wide node " << i;
-      ASSERT_EQ(p.origin.x, s.origin.x) << "wide node " << i;
-      ASSERT_EQ(p.origin.y, s.origin.y) << "wide node " << i;
-      ASSERT_EQ(p.origin.z, s.origin.z) << "wide node " << i;
-      for (int axis = 0; axis < 3; ++axis) {
-        ASSERT_EQ(p.exp[axis], s.exp[axis]) << "wide node " << i;
-        for (int c = 0; c < rt::Bvh4::kWidth; ++c) {
-          ASSERT_EQ(p.qlo[axis][c], s.qlo[axis][c]) << "wide node " << i;
-          ASSERT_EQ(p.qhi[axis][c], s.qhi[axis][c]) << "wide node " << i;
-        }
-      }
+  CgrxConfig config;
+  config.bucket_size = 16;
+  CgrxIndex64 parallel_index(config);
+  parallel_index.Build(keys);
+  CgrxIndex64 serial_index(config);
+  {
+    util::TaskScheduler::SerialScope force_serial;
+    serial_index.Build(keys);
+  }
+  const rt::Bvh& pb = parallel_index.scene().bvh();
+  const rt::Bvh& sb = serial_index.scene().bvh();
+  ASSERT_EQ(pb.nodes().size(), sb.nodes().size());
+  for (std::size_t i = 0; i < pb.nodes().size(); ++i) {
+    ASSERT_EQ(std::memcmp(&pb.nodes()[i], &sb.nodes()[i],
+                          sizeof(rt::Bvh::Node)),
+              0)
+        << "node " << i;
+  }
+  ASSERT_EQ(pb.prim_indices(), sb.prim_indices());
+  const rt::Bvh4& p4 = parallel_index.scene().bvh4();
+  const rt::Bvh4& s4 = serial_index.scene().bvh4();
+  ASSERT_EQ(p4.nodes().size(), s4.nodes().size());
+  for (std::size_t i = 0; i < p4.nodes().size(); ++i) {
+    // Field-wise (the 64-byte node has tail padding memcmp would trip
+    // on).
+    const rt::Bvh4::Node& p = p4.nodes()[i];
+    const rt::Bvh4::Node& s = s4.nodes()[i];
+    ASSERT_EQ(p.num_children, s.num_children) << "wide node " << i;
+    ASSERT_EQ(p.origin.x, s.origin.x) << "wide node " << i;
+    ASSERT_EQ(p.origin.y, s.origin.y) << "wide node " << i;
+    ASSERT_EQ(p.origin.z, s.origin.z) << "wide node " << i;
+    for (int axis = 0; axis < 3; ++axis) {
+      ASSERT_EQ(p.exp[axis], s.exp[axis]) << "wide node " << i;
       for (int c = 0; c < rt::Bvh4::kWidth; ++c) {
-        ASSERT_EQ(p.count[c], s.count[c]) << "wide node " << i;
-        ASSERT_EQ(p.child[c], s.child[c]) << "wide node " << i;
+        ASSERT_EQ(p.qlo[axis][c], s.qlo[axis][c]) << "wide node " << i;
+        ASSERT_EQ(p.qhi[axis][c], s.qhi[axis][c]) << "wide node " << i;
       }
+    }
+    for (int c = 0; c < rt::Bvh4::kWidth; ++c) {
+      ASSERT_EQ(p.count[c], s.count[c]) << "wide node " << i;
+      ASSERT_EQ(p.child[c], s.child[c]) << "wide node " << i;
     }
   }
 }
@@ -667,10 +646,10 @@ TEST(ParallelBuild, LargeSahBuildCrossesParallelSplitThreshold) {
     parallel_scene.AddTriangle(v0, v1, v2);
     serial_scene.AddTriangle(v0, v1, v2);
   }
-  parallel_scene.Build(BvhBuilder::kBinnedSah, 4);
+  parallel_scene.Build();
   {
     util::TaskScheduler::SerialScope force_serial;
-    serial_scene.Build(BvhBuilder::kBinnedSah, 4);
+    serial_scene.Build();
   }
   const rt::Bvh& pb = parallel_scene.bvh();
   const rt::Bvh& sb = serial_scene.bvh();
@@ -709,8 +688,8 @@ TEST(ParallelRefit, LevelParallelRefitIsByteIdenticalToSerial) {
   // the tests above; build serial to make that independent here).
   {
     util::TaskScheduler::SerialScope force_serial;
-    parallel_scene.Build(BvhBuilder::kBinnedSah, 4);
-    serial_scene.Build(BvhBuilder::kBinnedSah, 4);
+    parallel_scene.Build();
+    serial_scene.Build();
   }
   ASSERT_GE(parallel_scene.bvh().nodes().size(), std::size_t{1} << 16)
       << "test scene too small to exercise the level-parallel sweep";

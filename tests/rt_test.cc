@@ -1,12 +1,13 @@
-// Unit and property tests for the raytracing substrate: vector/box
-// algebra, triangle intersection (winding, clamping), BVH structural
-// invariants across all three builders, traversal-vs-brute-force
-// equivalence on random scenes, closest-hit ordering, and refit
-// semantics (including the bound-inflation behaviour RX updates rely
-// on).
+// Unit and property tests for the raytracing substrate: box algebra,
+// axis-ray triangle intersection (winding, clamping), the binned-SAH
+// BVH's structural invariants, traversal-vs-brute-force equivalence on
+// random scenes, closest-hit ordering, refit semantics (including the
+// bound-inflation behaviour RX updates rely on), and the axis-ray
+// precondition every cast enforces.
 #include <algorithm>
 #include <cstdint>
 #include <optional>
+#include <stdexcept>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -68,35 +69,6 @@ TEST(Aabb, SurfaceArea) {
   box.Grow(Vec3f{2, 3, 4});
   EXPECT_FLOAT_EQ(box.SurfaceArea(), 2.0f * (2 * 3 + 3 * 4 + 4 * 2));
   EXPECT_EQ(Aabb{}.SurfaceArea(), 0.0f);
-}
-
-TEST(Aabb, SlabTestAxisAlignedRays) {
-  Aabb box;
-  box.Grow(Vec3f{1, 1, 1});
-  box.Grow(Vec3f{2, 2, 2});
-  double t = 0;
-  // Ray along +x through the box.
-  EXPECT_TRUE(box.HitByRay({0, 1.5, 1.5}, {1, 1e30, 1e30}, 0, 100, &t));
-  EXPECT_NEAR(t, 1.0, 1e-9);
-  // Ray along +x missing in y.
-  EXPECT_FALSE(box.HitByRay({0, 3.0, 1.5}, {1, 1e30, 1e30}, 0, 100, &t));
-  // Ray starting inside reports entry at t_min.
-  EXPECT_TRUE(box.HitByRay({1.5, 1.5, 1.5}, {1, 1e30, 1e30}, 0, 100, &t));
-  EXPECT_LE(t, 0.5);
-  // t_max clamping.
-  EXPECT_FALSE(box.HitByRay({0, 1.5, 1.5}, {1, 1e30, 1e30}, 0, 0.5, &t));
-}
-
-TEST(Aabb, SlabTestHandlesExactSlabOriginWithoutNan) {
-  // Origin exactly on a slab plane with a zero direction component used
-  // to produce 0 * inf = NaN; the fmin/fmax formulation must stay
-  // conservative instead of rejecting.
-  Aabb box;
-  box.Grow(Vec3f{-1, 0, -1});
-  box.Grow(Vec3f{1, 2, 1});
-  const double inf = std::numeric_limits<double>::infinity();
-  double t = 0;
-  EXPECT_TRUE(box.HitByRay({-1, -1, 0}, {inf, 1.0, inf}, 0, 100, &t));
 }
 
 // ---------------------------------------------------------------------
@@ -164,12 +136,10 @@ TEST(Triangle, DegenerateSlotsAreUnhittable) {
 }
 
 // ---------------------------------------------------------------------
-// BVH builders: structural invariants + traversal equivalence.
+// BVH build: structural invariants + traversal equivalence.
 // ---------------------------------------------------------------------
 
-class BvhBuilderTest : public ::testing::TestWithParam<BvhBuilder> {};
-
-TEST_P(BvhBuilderTest, EveryActivePrimitiveInExactlyOneLeaf) {
+TEST(BvhBuild, EveryActivePrimitiveInExactlyOneLeaf) {
   Rng rng(17);
   Scene scene;
   constexpr int kTriangles = 500;
@@ -183,7 +153,7 @@ TEST_P(BvhBuilderTest, EveryActivePrimitiveInExactlyOneLeaf) {
                           static_cast<float>(rng.Below(100)));
     }
   }
-  scene.Build(GetParam());
+  scene.Build();
   std::vector<int> seen(scene.triangle_count(), 0);
   for (const std::uint32_t p : scene.bvh().prim_indices()) seen[p]++;
   for (std::uint32_t i = 0; i < scene.triangle_count(); ++i) {
@@ -191,14 +161,14 @@ TEST_P(BvhBuilderTest, EveryActivePrimitiveInExactlyOneLeaf) {
   }
 }
 
-TEST_P(BvhBuilderTest, ParentBoundsContainChildren) {
+TEST(BvhBuild, ParentBoundsContainChildren) {
   Rng rng(23);
   Scene scene;
   for (int i = 0; i < 300; ++i) {
     AddCenteredTriangle(&scene, static_cast<float>(rng.Below(5000)),
                         static_cast<float>(rng.Below(50)), 0);
   }
-  scene.Build(GetParam());
+  scene.Build();
   const auto& nodes = scene.bvh().nodes();
   for (const auto& node : nodes) {
     if (node.IsLeaf()) continue;
@@ -207,7 +177,7 @@ TEST_P(BvhBuilderTest, ParentBoundsContainChildren) {
   }
 }
 
-TEST_P(BvhBuilderTest, LeafBoundsContainTheirTriangles) {
+TEST(BvhBuild, LeafBoundsContainTheirTriangles) {
   Rng rng(29);
   Scene scene;
   for (int i = 0; i < 300; ++i) {
@@ -215,7 +185,7 @@ TEST_P(BvhBuilderTest, LeafBoundsContainTheirTriangles) {
                         static_cast<float>(rng.Below(50)),
                         static_cast<float>(rng.Below(8)));
   }
-  scene.Build(GetParam());
+  scene.Build();
   const auto& bvh = scene.bvh();
   for (const auto& node : bvh.nodes()) {
     if (!node.IsLeaf()) continue;
@@ -226,7 +196,7 @@ TEST_P(BvhBuilderTest, LeafBoundsContainTheirTriangles) {
   }
 }
 
-TEST_P(BvhBuilderTest, ClosestHitMatchesBruteForce) {
+TEST(BvhBuild, ClosestHitMatchesBruteForce) {
   Rng rng(31);
   Scene scene;
   std::vector<Vec3f> centers;
@@ -237,7 +207,7 @@ TEST_P(BvhBuilderTest, ClosestHitMatchesBruteForce) {
     centers.push_back(c);
     AddCenteredTriangle(&scene, c.x, c.y, c.z);
   }
-  scene.Build(GetParam());
+  scene.Build();
   // Fire x-rays through random (y, z) lines and compare against a brute
   // force over the stored centers.
   for (int q = 0; q < 300; ++q) {
@@ -264,7 +234,7 @@ TEST_P(BvhBuilderTest, ClosestHitMatchesBruteForce) {
   }
 }
 
-TEST_P(BvhBuilderTest, CollectAllMatchesBruteForce) {
+TEST(BvhBuild, CollectAllMatchesBruteForce) {
   Rng rng(37);
   Scene scene;
   std::vector<Vec3f> centers;
@@ -276,7 +246,7 @@ TEST_P(BvhBuilderTest, CollectAllMatchesBruteForce) {
     centers.push_back(c);
     AddCenteredTriangle(&scene, c.x, c.y, c.z);
   }
-  scene.Build(GetParam());
+  scene.Build();
   for (int q = 0; q < 200; ++q) {
     const float y = static_cast<float>(rng.Below(10));
     const float x0 = static_cast<float>(rng.Below(40)) - 0.5f;
@@ -299,36 +269,23 @@ TEST_P(BvhBuilderTest, CollectAllMatchesBruteForce) {
   }
 }
 
-TEST_P(BvhBuilderTest, AllDuplicatePositionsStillSplit) {
+TEST(BvhBuild, AllDuplicatePositionsStillSplit) {
   // 1000 triangles at one position: the builder must fall back to
   // median splits instead of producing one enormous leaf.
   Scene scene;
   for (int i = 0; i < 1000; ++i) AddCenteredTriangle(&scene, 1, 1, 1);
-  scene.Build(GetParam(), /*max_leaf_size=*/4);
+  scene.Build();
   std::size_t max_leaf = 0;
   for (const auto& node : scene.bvh().nodes()) {
     if (node.IsLeaf()) {
       max_leaf = std::max<std::size_t>(max_leaf, node.prim_count);
     }
   }
-  EXPECT_LE(max_leaf, 4u);
+  EXPECT_LE(max_leaf, Bvh::kMaxLeafSize);
   std::vector<Hit> hits;
   scene.CastRayCollectAll(AxisRay(0, {0, 1, 1}, 5), &hits);
   EXPECT_EQ(hits.size(), 1000u);
 }
-
-INSTANTIATE_TEST_SUITE_P(Builders, BvhBuilderTest,
-                         ::testing::Values(BvhBuilder::kBinnedSah,
-                                           BvhBuilder::kMedianSplit,
-                                           BvhBuilder::kMorton),
-                         [](const auto& info) {
-                           switch (info.param) {
-                             case BvhBuilder::kBinnedSah: return "BinnedSah";
-                             case BvhBuilder::kMedianSplit: return "Median";
-                             case BvhBuilder::kMorton: return "Morton";
-                           }
-                           return "Unknown";
-                         });
 
 // ---------------------------------------------------------------------
 // Refit.
@@ -418,6 +375,43 @@ TEST(Scene, EmptySceneMissesEverything) {
   EXPECT_TRUE(hits.empty());
 }
 
+TEST(Scene, EveryCastRejectsNonAxisRays) {
+  // The precondition holds whatever the scene holds: checked on a built
+  // scene and on an empty one.
+  Scene built;
+  AddCenteredTriangle(&built, 2, 0, 0);
+  built.Build();
+  Scene empty;
+  empty.Build();
+  const Vec3f bad_directions[] = {{1, 1, 0}, {-1, 0, 0}, {2, 0, 0}, {0, 0, 0}};
+  for (const Scene* scene : {&built, &empty}) {
+    for (const Vec3f& direction : bad_directions) {
+      SCOPED_TRACE(testing::Message()
+                   << (scene == &built ? "built" : "empty") << " direction ("
+                   << direction.x << ", " << direction.y << ", "
+                   << direction.z << ")");
+      Ray ray = AxisRay(0, {0, 0, 0}, 100);
+      ray.direction = direction;
+      Hit hit;
+      TraversalContext ctx;
+      std::vector<Hit> hits;
+      EXPECT_THROW(scene->CastRay(ray), std::invalid_argument);
+      EXPECT_THROW(scene->CastRayInto(ray, &hit, &ctx), std::invalid_argument);
+      EXPECT_THROW(scene->CastRayCollectAll(ray, &hits),
+                   std::invalid_argument);
+      EXPECT_THROW(scene->CastRayCollectAll(ray, &ctx), std::invalid_argument);
+      EXPECT_THROW(scene->CastRayBinary(ray), std::invalid_argument);
+      EXPECT_THROW(scene->CastRayCollectAllBinary(ray, &hits),
+                   std::invalid_argument);
+    }
+  }
+  // The three axis rays stay valid on both.
+  for (int axis = 0; axis < 3; ++axis) {
+    EXPECT_NO_THROW(built.CastRay(AxisRay(axis, {0, 0, 0}, 100)));
+    EXPECT_NO_THROW(empty.CastRay(AxisRay(axis, {0, 0, 0}, 100)));
+  }
+}
+
 TEST(Scene, MemoryFootprintGrowsWithTriangles) {
   Scene a;
   AddCenteredTriangle(&a, 0, 0, 0);
@@ -453,7 +447,7 @@ TEST(BvhDepth, ReasonableForUniformScene) {
     AddCenteredTriangle(&scene, static_cast<float>(rng.Below(1 << 20)),
                         static_cast<float>(rng.Below(64)), 0);
   }
-  scene.Build(BvhBuilder::kBinnedSah);
+  scene.Build();
   EXPECT_LE(scene.bvh().Depth(), 64);
   EXPECT_GE(scene.bvh().Depth(), 10);
 }

@@ -1,9 +1,10 @@
 // Tests for the RX (RTIndeX) baseline: fine-granular build, point and
-// range lookups vs an oracle, duplicate handling, refit-based updates
-// (correctness + the Figure 1c cost-degradation property) and the
-// rebuild update path.
+// range lookups vs an oracle (including ranges wider than the index),
+// duplicate handling, refit-based updates (correctness + the Figure 1c
+// cost-degradation property) and the rebuild update path.
 #include <algorithm>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -76,6 +77,51 @@ TEST(RxIndex, RangeLookupsAcrossRowsMatchOracle) {
     ASSERT_EQ(index.RangeLookup(lo, hi), OracleRange(keys, lo, hi))
         << "[" << lo << ", " << hi << "]";
   }
+}
+
+TEST(RxIndex, RangesWiderThanTheIndexMatchOracle) {
+  // Under the 64-bit mapping a range can span up to 2^41 grid rows; a
+  // range spanning more rows than the index has slots is answered from
+  // the slot table and fires no rays.
+  Rng rng(74);
+  std::vector<std::uint64_t> keys(8000);
+  for (auto& k : keys) k = rng();
+  RxIndex64 index;
+  index.Build(std::vector<std::uint64_t>(keys));
+  constexpr std::uint64_t kMax = ~std::uint64_t{0};
+  const std::pair<std::uint64_t, std::uint64_t> ranges[] = {
+      {0, kMax},
+      {0, kMax / 3},
+      {kMax / 2, kMax},
+      {std::uint64_t{1} << 40, std::uint64_t{1} << 62}};
+  for (const auto& [lo, hi] : ranges) {
+    const std::uint64_t rays_before =
+        index.stat_counters().rays_fired.load(std::memory_order_relaxed);
+    const LookupResult got = index.RangeLookup(lo, hi);
+    ASSERT_EQ(got, OracleRange(keys, lo, hi)) << "[" << lo << ", " << hi << "]";
+    EXPECT_GT(got.match_count, 0u);
+    EXPECT_EQ(index.stat_counters().rays_fired.load(std::memory_order_relaxed),
+              rays_before);
+  }
+  EXPECT_EQ(index.RangeLookup(0, kMax).match_count, keys.size());
+
+  // A range over a few rows keeps the one-ray-per-row path.
+  const std::uint64_t key = keys[17];
+  const std::uint64_t lo = key - (std::uint64_t{1} << 24);
+  const std::uint64_t hi = key + (std::uint64_t{1} << 24);
+  ASSERT_LT(lo, key);
+  ASSERT_GT(hi, key);
+  const std::uint64_t rows =
+      index.mapping().RowKey(hi) - index.mapping().RowKey(lo) + 1;
+  ASSERT_GT(rows, 1u);
+  const std::uint64_t rays_before =
+      index.stat_counters().rays_fired.load(std::memory_order_relaxed);
+  const LookupResult got = index.RangeLookup(lo, hi);
+  EXPECT_EQ(got, OracleRange(keys, lo, hi));
+  EXPECT_GE(got.match_count, 1u);
+  EXPECT_EQ(index.stat_counters().rays_fired.load(std::memory_order_relaxed) -
+                rays_before,
+            rows);
 }
 
 TEST(RxIndex, RangeLookups32BitMapping) {
