@@ -77,10 +77,11 @@ int main() {
             << " entries\n\n";
 
   // Updates are combined waves: erases and inserts in one UpdateBatch
-  // call, keys on both sides cancelling pairwise. cgRXu applies the
-  // whole wave in one pass over the buckets it touches
-  // (capabilities().combined_updates); every other backend decomposes
-  // with identical results -- here cgRX pays its rebuild.
+  // call, keys on both sides cancelling pairwise. Both report
+  // capabilities().combined_updates: cgRXu applies the whole wave in one
+  // pass over the buckets it touches, and cgRX -- here -- in one merge
+  // into its sorted array plus one scene rebuild (the paper's cgRX
+  // [rebuild]). Every other backend decomposes with identical results.
   const std::uint64_t retired = column[0];
   index->UpdateBatch(/*insert_keys=*/{1, 2, 3},
                      /*insert_rows=*/{900001, 900002, 900003},

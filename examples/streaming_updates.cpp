@@ -6,7 +6,8 @@
 // retirements applied in one pass that visits each touched bucket once
 // on cgRXu (capabilities().combined_updates) -- contrasted against (a)
 // the same cgRXu paying the two-pass InsertBatch+EraseBatch
-// decomposition and (b) rebuilding cgRX from scratch each batch, the
+// decomposition and (b) cgRX applying each batch as one merge into its
+// sorted array plus one scene rebuild (the paper's cgRX [rebuild]), the
 // comparison behind the paper's Figure 18. All three run through
 // cgrx::api::Index.
 //

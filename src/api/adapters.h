@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -140,6 +141,9 @@ class IndexAdapter final : public Index<typename Impl::KeyType> {
 
   void Build(std::vector<Key> keys,
              std::vector<std::uint32_t> row_ids) override {
+    if (keys.size() != row_ids.size()) {
+      throw std::invalid_argument("Build: keys/row_ids size mismatch");
+    }
     impl_.Build(std::move(keys), std::move(row_ids));
   }
 
@@ -222,8 +226,8 @@ class IndexAdapter final : public Index<typename Impl::KeyType> {
                      std::vector<Key> erase_keys,
                      const ExecutionPolicy& policy) override {
     if constexpr (kHasCombinedUpdates) {
-      // Native one-sweep wave (cgRXu applies both sides in one bucket
-      // pass, paper Section IV).
+      // Native wave: cgRXu applies both sides in one bucket pass (paper
+      // Section IV), cgRX in one merge plus one scene rebuild.
       impl_.UpdateBatch(std::move(insert_keys), std::move(insert_rows),
                         std::move(erase_keys), policy);
     } else {

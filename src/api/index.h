@@ -29,8 +29,10 @@ struct Capabilities {
   bool point_lookup = false;
   bool range_lookup = false;
   bool updates = false;
-  /// The backend applies a combined insert+delete wave in one native
-  /// sweep (cgRXu, paper Section IV). When false, UpdateBatch() still
+  /// The backend applies a combined insert+delete wave natively: cgRXu
+  /// in one sweep over the buckets its keys land in (paper Section IV),
+  /// cgRX in one merge into its sorted array plus one scene rebuild (the
+  /// paper's "cgRX [rebuild]", Fig. 18). When false, UpdateBatch() still
   /// works but decomposes into the two-sweep EraseBatch-then-InsertBatch
   /// path.
   bool combined_updates = false;
@@ -120,7 +122,9 @@ class Index {
   /// Bulk-loads `keys` with rowID = position (the paper's convention).
   virtual void Build(std::vector<Key> keys) = 0;
 
-  /// Bulk-loads explicit key/rowID pairs (unsorted).
+  /// Bulk-loads explicit key/rowID pairs (unsorted). Throws
+  /// std::invalid_argument, leaving the index as it was, when the two
+  /// vectors differ in size.
   virtual void Build(std::vector<Key> keys,
                      std::vector<std::uint32_t> row_ids) = 0;
 
@@ -144,6 +148,9 @@ class Index {
   void InsertBatch(const std::vector<Key>& keys,
                    const std::vector<std::uint32_t>& row_ids,
                    const ExecutionPolicy& policy = {}) {
+    if (keys.size() != row_ids.size()) {
+      throw std::invalid_argument("InsertBatch: keys/row_ids size mismatch");
+    }
     DoInsertBatch(keys, row_ids, policy);
   }
 
@@ -158,10 +165,11 @@ class Index {
   /// appearing on both sides cancelled pairwise before anything touches
   /// the structure (the paper's cgRXu wave semantics, Section IV).
   /// Surviving erases apply before surviving inserts. Backends reporting
-  /// `capabilities().combined_updates` (cgRXu) execute the wave in one
-  /// native pass that visits each touched bucket once; everything else
-  /// decomposes into the two-pass EraseBatch-then-InsertBatch path with
-  /// identical results.
+  /// `capabilities().combined_updates` execute the wave natively: cgRXu
+  /// in one pass that visits each touched bucket once, cgRX in one merge
+  /// plus one scene rebuild (the paper's cgRX [rebuild]). Everything
+  /// else decomposes into the two-pass EraseBatch-then-InsertBatch path
+  /// with identical results.
   /// Batches are taken by value because the wave is sorted in place.
   void UpdateBatch(std::vector<Key> insert_keys,
                    std::vector<std::uint32_t> insert_rows,

@@ -70,6 +70,77 @@ class BucketArray {
     }
   }
 
+  /// Applies one update wave in a single merge pass written straight
+  /// into a new layout (cgRX's update, the paper's "[rebuild]"): each
+  /// erase key drops the first remaining entry of that key (absent keys
+  /// are ignored), each insert lands after the existing entries of its
+  /// key. Both sides must be sorted ascending, rows following their
+  /// keys. The kept entries between two wave keys are found by galloping
+  /// and copied as one run, so a k-key wave costs one copy of the array
+  /// plus O(k log(n/k)) key comparisons.
+  void ApplyWave(const std::vector<Key>& insert_keys,
+                 const std::vector<std::uint32_t>& insert_rows,
+                 const std::vector<Key>& erase_keys) {
+    assert(insert_keys.size() == insert_rows.size());
+    const std::size_t capacity = size_ + insert_keys.size();
+    std::vector<std::uint8_t> rows;
+    std::vector<Key> keys;
+    std::vector<std::uint32_t> row_ids;
+    if (layout_ == BucketLayout::kColumn) {
+      keys.reserve(capacity);
+      row_ids.reserve(capacity);
+    } else {
+      rows.reserve(capacity * kEntryBytes);
+    }
+    const auto copy_run = [&](std::size_t begin, std::size_t end) {
+      if (layout_ == BucketLayout::kColumn) {
+        keys.insert(keys.end(), keys_.begin() + begin, keys_.begin() + end);
+        row_ids.insert(row_ids.end(), row_ids_.begin() + begin,
+                       row_ids_.begin() + end);
+      } else {
+        rows.insert(rows.end(), rows_.begin() + begin * kEntryBytes,
+                    rows_.begin() + end * kEntryBytes);
+      }
+    };
+    std::size_t i = 0;
+    std::size_t ins = 0;
+    std::size_t del = 0;
+    while (ins < insert_keys.size() || del < erase_keys.size()) {
+      // Erases apply before inserts of an equal key.
+      if (del < erase_keys.size() && (ins == insert_keys.size() ||
+                                      erase_keys[del] <= insert_keys[ins])) {
+        const Key key = erase_keys[del++];
+        const std::size_t at = Gallop(i, [key](Key k) { return k < key; });
+        copy_run(i, at);
+        i = at < size_ && KeyAt(at) == key ? at + 1 : at;
+        continue;
+      }
+      const Key key = insert_keys[ins];
+      const std::uint32_t row = insert_rows[ins++];
+      const std::size_t at = Gallop(i, [key](Key k) { return k <= key; });
+      copy_run(i, at);
+      i = at;
+      if (layout_ == BucketLayout::kColumn) {
+        keys.push_back(key);
+        row_ids.push_back(row);
+      } else {
+        std::uint8_t entry[kEntryBytes];
+        std::memcpy(entry, &key, sizeof(Key));
+        std::memcpy(entry + sizeof(Key), &row, sizeof(std::uint32_t));
+        rows.insert(rows.end(), entry, entry + kEntryBytes);
+      }
+    }
+    copy_run(i, size_);
+    if (layout_ == BucketLayout::kColumn) {
+      size_ = keys.size();
+      keys_ = std::move(keys);
+      row_ids_ = std::move(row_ids);
+    } else {
+      size_ = rows.size() / kEntryBytes;
+      rows_ = std::move(rows);
+    }
+  }
+
   std::size_t size() const { return size_; }
   bool empty() const { return size_ == 0; }
   std::uint32_t bucket_size() const { return bucket_size_; }
@@ -187,7 +258,7 @@ class BucketArray {
     return rows_.size();
   }
 
-  /// Re-extracts the sorted keys (rebuild-style update path).
+  /// Copies out the sorted keys.
   std::vector<Key> ExtractKeys() const {
     std::vector<Key> out(size_);
     for (std::size_t i = 0; i < size_; ++i) out[i] = KeyAt(i);
@@ -248,6 +319,29 @@ class BucketArray {
     }
     if (len == 1 && KeyAt(base) < key) ++base;
     return base;
+  }
+
+  /// First position at or after `from` whose key fails `before` (which
+  /// holds on a prefix of the array), by doubling steps from `from` then
+  /// a binary search: O(log d) for an answer d entries on.
+  template <typename Before>
+  std::size_t Gallop(std::size_t from, Before before) const {
+    std::size_t lo = from;
+    std::size_t hi = from;
+    for (std::size_t step = 1; hi < size_ && before(KeyAt(hi)); step *= 2) {
+      lo = hi + 1;
+      hi += step;
+    }
+    hi = hi < size_ ? hi : size_;
+    while (lo < hi) {
+      const std::size_t mid = lo + (hi - lo) / 2;
+      if (before(KeyAt(mid))) {
+        lo = mid + 1;
+      } else {
+        hi = mid;
+      }
+    }
+    return lo;
   }
 
   std::size_t size_ = 0;

@@ -4,6 +4,7 @@
 #include <cassert>
 #include <cstdint>
 #include <optional>
+#include <utility>
 #include <vector>
 
 #include "src/api/execution_policy.h"
@@ -11,6 +12,7 @@
 #include "src/core/coherent.h"
 #include "src/core/rep_scene.h"
 #include "src/core/types.h"
+#include "src/core/update_wave.h"
 #include "src/rt/scene.h"
 #include "src/storage/format.h"
 #include "src/util/bloom_filter.h"
@@ -62,8 +64,9 @@ struct CgrxConfig {
 /// post-filter the bucket.
 ///
 /// `Key` is std::uint32_t or std::uint64_t (the two widths evaluated in
-/// the paper). Updates on this class rebuild from scratch; use
-/// CgrxuIndex for the paper's node-based updatable variant.
+/// the paper). An update wave merges into the sorted array and rebuilds
+/// the scene; use CgrxuIndex for the paper's node-based updatable
+/// variant.
 template <typename Key>
 class CgrxIndex {
  public:
@@ -73,7 +76,11 @@ class CgrxIndex {
   explicit CgrxIndex(const CgrxConfig& config = {})
       : config_(config),
         mapping_(config.mapping_override.value_or(
-            util::KeyMapping::ForKeyBits(kKeyBits, config.scaled_mapping))) {}
+            util::KeyMapping::ForKeyBits(kKeyBits, config.scaled_mapping))) {
+    // An empty array in the configured shape, so a wave applied before
+    // any Build lays its entries out as Build would.
+    buckets_.Build({}, {}, config_.bucket_size, config_.bucket_layout);
+  }
 
   /// Bulk-loads `keys` with rowID = position (the paper's convention:
   /// "the final position in the shuffled sequence determines a key's
@@ -154,58 +161,37 @@ class CgrxIndex {
         });
   }
 
-  /// Inserts a batch by merging into the sorted array and rebuilding the
-  /// scene. cgRX (non-u) has no incremental path -- the paper's update
-  /// experiment labels this variant "[rebuild]".
-  void InsertBatch(std::vector<Key> keys, std::vector<std::uint32_t> row_ids) {
-    assert(keys.size() == row_ids.size());
-    SortPairs(&keys, &row_ids);
-    std::vector<Key> merged_keys;
-    std::vector<std::uint32_t> merged_rows;
-    merged_keys.reserve(buckets_.size() + keys.size());
-    merged_rows.reserve(buckets_.size() + keys.size());
-    const std::size_t n = buckets_.size();
-    std::size_t i = 0;
-    std::size_t j = 0;
-    while (i < n || j < keys.size()) {
-      if (j >= keys.size() || (i < n && buckets_.KeyAt(i) <= keys[j])) {
-        merged_keys.push_back(buckets_.KeyAt(i));
-        merged_rows.push_back(buckets_.RowIdAt(i));
-        ++i;
-      } else {
-        merged_keys.push_back(keys[j]);
-        merged_rows.push_back(row_ids[j]);
-        ++j;
-      }
-    }
-    buckets_.Build(std::move(merged_keys), std::move(merged_rows),
-                   config_.bucket_size, config_.bucket_layout);
+  /// Applies one combined update wave the way the paper updates cgRX
+  /// ("cgRX [rebuild]", Fig. 18): keys on both sides cancel pairwise
+  /// (core::CancelPairedUpdates), the surviving erases (one entry per
+  /// erase key, the first in array order) and inserts (after the
+  /// existing entries of their key) merge into the sorted key-rowID array
+  /// in one pass, and the scene is rebuilt once. A wave that cancels to
+  /// nothing leaves the index untouched. The policy is unused: the merge
+  /// is one sequential pass, and the scene build runs on the global task
+  /// scheduler as Build's does.
+  void UpdateBatch(std::vector<Key> insert_keys,
+                   std::vector<std::uint32_t> insert_rows,
+                   std::vector<Key> erase_keys,
+                   const api::ExecutionPolicy& /*policy*/ = {}) {
+    assert(insert_keys.size() == insert_rows.size());
+    CancelPairedUpdates(&insert_keys, &insert_rows, &erase_keys);
+    if (insert_keys.empty() && erase_keys.empty()) return;
+    buckets_.ApplyWave(insert_keys, insert_rows, erase_keys);
     BuildScene();
   }
 
-  /// Deletes one instance per requested key (multiset semantics), then
-  /// rebuilds. Keys not present are ignored.
+  /// Inserts a batch: an UpdateBatch wave without erases, so one merge
+  /// into the sorted array plus one scene rebuild. cgRX (non-u) has no
+  /// incremental path.
+  void InsertBatch(std::vector<Key> keys, std::vector<std::uint32_t> row_ids) {
+    UpdateBatch(std::move(keys), std::move(row_ids), {});
+  }
+
+  /// Deletes one instance per requested key (multiset semantics); keys
+  /// not present are ignored. An UpdateBatch wave without inserts.
   void EraseBatch(std::vector<Key> keys) {
-    SortKeys(&keys);
-    std::vector<Key> kept_keys;
-    std::vector<std::uint32_t> kept_rows;
-    kept_keys.reserve(buckets_.size());
-    kept_rows.reserve(buckets_.size());
-    const std::size_t n = buckets_.size();
-    std::size_t j = 0;
-    for (std::size_t i = 0; i < n; ++i) {
-      const Key k = buckets_.KeyAt(i);
-      while (j < keys.size() && keys[j] < k) ++j;  // Unmatched deletes.
-      if (j < keys.size() && keys[j] == k) {
-        ++j;  // Consume one delete for one instance.
-        continue;
-      }
-      kept_keys.push_back(k);
-      kept_rows.push_back(buckets_.RowIdAt(i));
-    }
-    buckets_.Build(std::move(kept_keys), std::move(kept_rows),
-                   config_.bucket_size, config_.bucket_layout);
-    BuildScene();
+    UpdateBatch({}, {}, std::move(keys));
   }
 
   /// Permanent memory footprint: key-rowID array + vertex buffer + BVH
@@ -346,10 +332,6 @@ class CgrxIndex {
   static void SortPairs(std::vector<Key>* keys,
                         std::vector<std::uint32_t>* row_ids) {
     util::RadixSortPairs(keys, row_ids, kKeyBits);
-  }
-
-  static void SortKeys(std::vector<Key>* keys) {
-    util::RadixSortKeys(keys, kKeyBits);
   }
 
   /// Computes the per-bucket representatives and movability flags

@@ -164,6 +164,51 @@ TEST(IndexFactoryTest, RuntimeRegistrationAndDuplicateRejection) {
 }
 
 // ---------------------------------------------------------------------
+// Argument validation at the API boundary.
+// ---------------------------------------------------------------------
+
+/// Build(keys, row_ids) and InsertBatch with fewer row ids than keys
+/// must throw before anything touches the index: without the check, a
+/// backend reads (and cgRX's radix sort writes) past the row-id vector.
+template <typename Key>
+void ExpectRowIdSizeMismatchRejected(const std::string& backend) {
+  SCOPED_TRACE(backend + "_" + std::to_string(sizeof(Key) * 8));
+  const auto index = MakeIndex<Key>(backend);
+  std::vector<Key> keys;
+  for (Key k = 0; k < 100; ++k) keys.push_back(3 * k);
+  index->Build(std::vector<Key>(keys));
+  const Capabilities caps = index->capabilities();
+  const auto lookup = [&] {
+    std::vector<LookupResult> results;
+    if (caps.point_lookup) {
+      index->PointLookupBatch(std::vector<Key>{30}, &results);
+    } else {
+      index->RangeLookupBatch(std::vector<KeyRange<Key>>{{0, 300}}, &results);
+    }
+    return results.at(0);
+  };
+  const LookupResult before = lookup();
+  ASSERT_FALSE(before.IsMiss());
+
+  std::vector<Key> big;
+  for (Key k = 0; k < 2000; ++k) big.push_back(k);
+  const std::vector<std::uint32_t> few_rows(10, 7);
+  EXPECT_THROW(index->Build(std::vector<Key>(big),
+                            std::vector<std::uint32_t>(few_rows)),
+               std::invalid_argument);
+  EXPECT_THROW(index->InsertBatch(big, few_rows), std::invalid_argument);
+  EXPECT_EQ(index->size(), keys.size());
+  EXPECT_EQ(lookup(), before);
+}
+
+TEST(ArgumentValidationTest, RowIdSizeMismatchThrowsAndLeavesIndexIntact) {
+  for (const char* backend : kAllBackends) {
+    ExpectRowIdSizeMismatchRejected<std::uint32_t>(backend);
+    ExpectRowIdSizeMismatchRejected<std::uint64_t>(backend);
+  }
+}
+
+// ---------------------------------------------------------------------
 // Capability-gated conformance against a multimap oracle.
 // ---------------------------------------------------------------------
 
@@ -374,11 +419,17 @@ TEST_P(ApiConformanceTest, UpdateBatchWaveMatchesOracle) {
   }
 }
 
-TEST(CombinedUpdateTest, OnlyCgrxuReportsCombinedUpdates) {
-  EXPECT_TRUE(MakeIndex<std::uint64_t>("cgrxu")
-                  ->capabilities()
-                  .combined_updates);
-  for (const char* backend : {"cgrx", "rx", "sa", "btree", "ht"}) {
+TEST(CombinedUpdateTest, CgrxAndCgrxuReportCombinedUpdates) {
+  // cgRXu sweeps a wave through its nodes; cgRX merges it into the
+  // sorted array and rebuilds once. A sharded composite inherits the
+  // capability from its shards.
+  for (const char* backend : {"cgrx", "cgrxu", "sharded:cgrx"}) {
+    EXPECT_TRUE(MakeIndex<std::uint64_t>(backend)
+                    ->capabilities()
+                    .combined_updates)
+        << backend;
+  }
+  for (const char* backend : {"rx", "sa", "btree", "ht"}) {
     EXPECT_FALSE(MakeIndex<std::uint64_t>(backend)
                      ->capabilities()
                      .combined_updates)

@@ -1,6 +1,7 @@
 // Direct unit tests for BucketArray: both physical layouts, bucket
 // boundary arithmetic, representative extraction, point search with
-// duplicate overhang, range scans, and footprint accounting.
+// duplicate overhang, range scans, update waves, and footprint
+// accounting.
 #include <cstdint>
 #include <numeric>
 #include <vector>
@@ -93,6 +94,34 @@ TEST_P(BucketArrayLayoutTest, ExtractRoundTrips) {
   EXPECT_EQ(array.ExtractKeys(), keys);
   const auto rows = array.ExtractRowIds();
   for (std::size_t i = 0; i < rows.size(); ++i) EXPECT_EQ(rows[i], i);
+}
+
+TEST_P(BucketArrayLayoutTest, ApplyWaveMergesInOnePass) {
+  // Entries (key:row) 1:0 3:1 3:2 5:3 7:4 7:5.
+  auto array = Make<std::uint32_t>({1, 3, 3, 5, 7, 7}, 4, GetParam());
+  // Erase 3 drops its first entry, 4 is absent, 7 twice drops both;
+  // insert 3 lands after the remaining 3 (erases apply first), 0 and 9
+  // at the ends.
+  array.ApplyWave({0, 3, 9}, {20, 21, 22}, {3, 4, 7, 7});
+  const std::uint32_t keys[] = {0, 1, 3, 3, 5, 9};
+  const std::uint32_t rows[] = {20, 0, 2, 21, 3, 22};
+  ASSERT_EQ(array.size(), 6u);
+  EXPECT_EQ(array.num_buckets(), 2u);
+  EXPECT_EQ(array.layout(), GetParam());
+  for (std::size_t i = 0; i < array.size(); ++i) {
+    EXPECT_EQ(array.KeyAt(i), keys[i]) << i;
+    EXPECT_EQ(array.RowIdAt(i), rows[i]) << i;
+  }
+  EXPECT_EQ(array.MemoryFootprintBytes(),
+            6 * BucketArray<std::uint32_t>::kEntryBytes);
+  // Erasing everything empties the array; an insert-only wave refills it.
+  array.ApplyWave({}, {}, {0, 1, 3, 3, 5, 9});
+  EXPECT_TRUE(array.empty());
+  EXPECT_EQ(array.MemoryFootprintBytes(), 0u);
+  array.ApplyWave({8, 8}, {30, 31}, {});
+  ASSERT_EQ(array.size(), 2u);
+  EXPECT_EQ(array.RowIdAt(0), 30u);
+  EXPECT_EQ(array.RowIdAt(1), 31u);
 }
 
 INSTANTIATE_TEST_SUITE_P(Layouts, BucketArrayLayoutTest,

@@ -2,9 +2,12 @@
 // width, representation, bucket size and key distribution, every point
 // lookup, miss and range lookup must agree with a sorted-array oracle.
 // Also covers the optimized-representation specifics (flipping,
-// auxiliary markers, memory savings) and the rebuild-style updates.
+// auxiliary markers, memory savings) and the rebuild-style updates,
+// whose waves must leave the structures a fresh Build would.
 #include <algorithm>
 #include <cstdint>
+#include <cstring>
+#include <iterator>
 #include <map>
 #include <string>
 #include <tuple>
@@ -13,6 +16,8 @@
 #include <gtest/gtest.h>
 
 #include "src/core/cgrx_index.h"
+#include "src/storage/format.h"
+#include "src/util/serial.h"
 #include "src/util/rng.h"
 #include "src/util/workloads.h"
 
@@ -342,6 +347,294 @@ TEST(CgrxUpdates, EraseBatchRemovesOneInstancePerKey) {
   EXPECT_EQ(index.PointLookup(9).match_count, 1u);
   EXPECT_EQ(index.PointLookup(40).match_count, 1u);
 }
+
+TEST(CgrxUpdates, WaveBeforeBuildUsesTheConfiguredShape) {
+  CgrxConfig config;
+  config.bucket_size = 8;
+  config.bucket_layout = BucketLayout::kColumn;
+  CgrxIndex64 index(config);
+  std::vector<std::uint64_t> keys;
+  std::vector<std::uint32_t> rows;
+  for (std::uint32_t i = 0; i < 20; ++i) {
+    keys.push_back(100 - i);
+    rows.push_back(i);
+  }
+  index.InsertBatch(keys, rows);
+  EXPECT_EQ(index.buckets().bucket_size(), 8u);
+  EXPECT_EQ(index.buckets().layout(), BucketLayout::kColumn);
+  EXPECT_EQ(index.num_buckets(), 3u);
+  EXPECT_EQ(index.PointLookup(90).row_id_sum, 10u);
+}
+
+// ---------------------------------------------------------------------
+// Update waves against a fresh Build: after every wave of a seeded
+// sequence, each structure must equal byte for byte the one a Build of
+// the surviving entries produces (old survivors in array order, then
+// the wave's inserts, which Build's stable sort puts in merge order),
+// and lookups must agree with a multimap model.
+// ---------------------------------------------------------------------
+
+struct WaveCase {
+  int key_bits;
+  BucketLayout layout;
+  double filter_bits_per_key;
+};
+
+std::string WaveCaseName(const ::testing::TestParamInfo<WaveCase>& info) {
+  std::string name = info.param.key_bits == 32 ? "u32" : "u64";
+  name += info.param.layout == BucketLayout::kRow ? "Row" : "Column";
+  name += info.param.filter_bits_per_key > 0 ? "Filter" : "NoFilter";
+  return name;
+}
+
+template <typename T>
+bool SameBytes(const std::vector<T>& a, const std::vector<T>& b) {
+  return a.size() == b.size() &&
+         (a.empty() ||
+          std::memcmp(a.data(), b.data(), a.size() * sizeof(T)) == 0);
+}
+
+template <typename Key>
+void ExpectSameStructures(const CgrxIndex<Key>& got,
+                          const CgrxIndex<Key>& want) {
+  util::ByteWriter got_buckets;
+  util::ByteWriter want_buckets;
+  got.buckets().SaveState(&got_buckets);
+  want.buckets().SaveState(&want_buckets);
+  EXPECT_TRUE(got_buckets.bytes() == want_buckets.bytes()) << "bucket array";
+  const rt::Scene& g = got.scene();
+  const rt::Scene& w = want.scene();
+  EXPECT_TRUE(SameBytes(g.soup().raw_vertices(), w.soup().raw_vertices()))
+      << "vertex buffer";
+  EXPECT_TRUE(SameBytes(g.bvh().nodes(), w.bvh().nodes()))
+      << "binary BVH nodes";
+  EXPECT_TRUE(SameBytes(g.bvh4().nodes(), w.bvh4().nodes()))
+      << "wide BVH nodes";
+  EXPECT_TRUE(SameBytes(g.bvh().prim_indices(), w.bvh().prim_indices()))
+      << "primitive indices";
+  // The snapshot adds the representative-scene header and the filter.
+  storage::SnapshotWriter got_state;
+  storage::SnapshotWriter want_state;
+  got.SaveState(&got_state);
+  want.SaveState(&want_state);
+  EXPECT_TRUE(got_state.TakeSections() == want_state.TakeSections())
+      << "snapshot sections (miss filter)";
+}
+
+template <typename Key>
+struct Wave {
+  std::vector<Key> insert_keys;
+  std::vector<std::uint32_t> insert_rows;
+  std::vector<Key> erase_keys;
+};
+
+class CgrxWaveOracleTest : public ::testing::TestWithParam<WaveCase> {
+ protected:
+  template <typename Key>
+  void RunWaves() {
+    const WaveCase& c = GetParam();
+    CgrxConfig config;
+    config.bucket_size = 16;
+    config.bucket_layout = c.layout;
+    config.miss_filter_bits_per_key = c.filter_bits_per_key;
+    Rng rng(4242);
+    const auto random_key = [&] {
+      return static_cast<Key>(c.key_bits == 32 ? rng.Below(1ULL << 32)
+                                               : rng());
+    };
+    // Keys drawn from a small pool recur, so waves hit duplicates.
+    std::vector<Key> pool;
+    for (int i = 0; i < 1200; ++i) pool.push_back(random_key());
+    const auto pooled = [&] { return pool[rng.Below(pool.size())]; };
+
+    std::vector<Key> keys;
+    for (int i = 0; i < 3000; ++i) keys.push_back(pooled());
+    CgrxIndex<Key> index(config);
+    index.Build(std::vector<Key>(keys));
+    std::multimap<Key, std::uint32_t> model;
+    for (std::size_t i = 0; i < keys.size(); ++i) {
+      model.emplace(keys[i], static_cast<std::uint32_t>(i));
+    }
+    std::uint32_t next_row = static_cast<std::uint32_t>(keys.size());
+
+    const auto add_inserts = [&](Wave<Key>* wave, int count) {
+      for (int i = 0; i < count; ++i) {
+        wave->insert_keys.push_back(i % 2 == 0 ? pooled() : random_key());
+        wave->insert_rows.push_back(next_row++);
+      }
+    };
+    const auto add_erases = [&](Wave<Key>* wave, int count) {
+      for (int i = 0; i < count; ++i) {
+        wave->erase_keys.push_back(i % 4 == 3 ? random_key() : pooled());
+      }
+      // Every instance of one present key, plus one absent instance.
+      if (!model.empty()) {
+        const Key all = std::next(model.begin(),
+                                  static_cast<std::ptrdiff_t>(
+                                      rng.Below(model.size())))
+                            ->first;
+        for (std::size_t n = model.count(all) + 1; n > 0; --n) {
+          wave->erase_keys.push_back(all);
+        }
+      }
+    };
+
+    const auto make_wave = [&](const std::string& what) {
+      Wave<Key> w;
+      if (what == "mixed") {
+        add_inserts(&w, 200);
+        add_erases(&w, 200);
+        // Keys on both sides cancel pairwise.
+        for (int i = 0; i < 40; ++i) {
+          w.erase_keys.push_back(w.insert_keys[rng.Below(200)]);
+        }
+      } else if (what == "cancels to nothing") {
+        add_inserts(&w, 150);
+        w.erase_keys.assign(w.insert_keys.rbegin(), w.insert_keys.rend());
+      } else if (what == "insert-only") {
+        add_inserts(&w, 300);
+      } else if (what == "erase-only") {
+        add_erases(&w, 300);
+      } else if (what == "empties") {
+        for (const auto& [key, row] : model) w.erase_keys.push_back(key);
+        w.erase_keys.push_back(random_key());
+      } else if (what == "refills") {
+        add_inserts(&w, 2000);
+      } else {
+        add_inserts(&w, 250);
+        add_erases(&w, 150);
+        for (int i = 0; i < 20; ++i) {
+          w.insert_keys.push_back(w.erase_keys[rng.Below(150)]);
+          w.insert_rows.push_back(next_row++);
+        }
+      }
+      return w;
+    };
+
+    for (const std::string what :
+         {"mixed", "cancels to nothing", "insert-only", "erase-only",
+          "empties", "refills", "mixed again", "mixed again"}) {
+      SCOPED_TRACE(what);
+      const Wave<Key> wave = make_wave(what);
+      // Pairwise cancellation: per key, the first min(#inserts, #erases)
+      // inserts in wave order and as many erases drop out.
+      std::map<Key, std::size_t> cancel;
+      std::map<Key, std::size_t> erase_left;
+      {
+        std::map<Key, std::size_t> inserts;
+        for (const Key k : wave.insert_keys) ++inserts[k];
+        for (const Key k : wave.erase_keys) ++erase_left[k];
+        for (auto& [k, n] : erase_left) {
+          const std::size_t c = std::min(n, inserts[k]);
+          cancel[k] = c;
+          n -= c;
+        }
+      }
+      // Survivors of the old array, in array order; a surviving erase
+      // takes the first remaining entry of its key.
+      std::vector<Key> fresh_keys;
+      std::vector<std::uint32_t> fresh_rows;
+      std::map<Key, std::size_t> to_erase = erase_left;
+      for (std::size_t i = 0; i < index.size(); ++i) {
+        const Key k = index.buckets().KeyAt(i);
+        auto it = to_erase.find(k);
+        if (it != to_erase.end() && it->second > 0) {
+          --it->second;
+          continue;
+        }
+        fresh_keys.push_back(k);
+        fresh_rows.push_back(index.buckets().RowIdAt(i));
+      }
+      for (auto& [k, n] : erase_left) {
+        for (; n > 0; --n) {
+          const auto it = model.lower_bound(k);
+          if (it != model.end() && it->first == k) model.erase(it);
+        }
+      }
+      for (std::size_t i = 0; i < wave.insert_keys.size(); ++i) {
+        const Key k = wave.insert_keys[i];
+        auto it = cancel.find(k);
+        if (it != cancel.end() && it->second > 0) {
+          --it->second;
+          continue;
+        }
+        fresh_keys.push_back(k);
+        fresh_rows.push_back(wave.insert_rows[i]);
+        model.emplace(k, wave.insert_rows[i]);
+      }
+
+      index.UpdateBatch(wave.insert_keys, wave.insert_rows, wave.erase_keys);
+      CgrxIndex<Key> fresh(config);
+      fresh.Build(std::move(fresh_keys), std::move(fresh_rows));
+      ASSERT_EQ(index.size(), model.size());
+      ExpectSameStructures(index, fresh);
+
+      // The array holds the model's entries in the model's order.
+      std::size_t pos = 0;
+      for (const auto& [key, row] : model) {
+        ASSERT_EQ(index.buckets().KeyAt(pos), key) << "entry " << pos;
+        ASSERT_EQ(index.buckets().RowIdAt(pos), row) << "entry " << pos;
+        ++pos;
+      }
+      const auto expect = [&](Key lo, Key hi) {
+        LookupResult result;
+        for (auto it = model.lower_bound(lo);
+             it != model.end() && it->first <= hi; ++it) {
+          result.Accumulate(it->second);
+        }
+        return result;
+      };
+      std::vector<Key> probes;
+      for (int i = 0; i < 400; ++i) {
+        probes.push_back(i % 2 == 0 ? pooled() : random_key());
+      }
+      std::vector<LookupResult> results(probes.size());
+      index.PointLookupBatch(probes.data(), probes.size(), results.data());
+      for (std::size_t i = 0; i < probes.size(); ++i) {
+        ASSERT_EQ(results[i], expect(probes[i], probes[i]))
+            << "point " << probes[i];
+      }
+      std::vector<KeyRange<Key>> ranges;
+      for (int i = 0; i < 100; ++i) {
+        Key lo = pooled();
+        Key hi = i % 2 == 0 ? pooled() : random_key();
+        if (lo > hi) std::swap(lo, hi);
+        ranges.push_back({lo, hi});
+      }
+      results.assign(ranges.size(), LookupResult{});
+      index.RangeLookupBatch(ranges.data(), ranges.size(), results.data());
+      for (std::size_t i = 0; i < ranges.size(); ++i) {
+        ASSERT_EQ(results[i], expect(ranges[i].lo, ranges[i].hi))
+            << "range [" << ranges[i].lo << ", " << ranges[i].hi << "]";
+      }
+    }
+    EXPECT_FALSE(model.empty());
+  }
+};
+
+TEST_P(CgrxWaveOracleTest, WavesMatchFreshBuildAndModel) {
+  if (GetParam().key_bits == 32) {
+    RunWaves<std::uint32_t>();
+  } else {
+    RunWaves<std::uint64_t>();
+  }
+}
+
+std::vector<WaveCase> MakeWaveCases() {
+  std::vector<WaveCase> cases;
+  for (const int bits : {32, 64}) {
+    for (const BucketLayout layout : {BucketLayout::kRow,
+                                      BucketLayout::kColumn}) {
+      for (const double filter : {0.0, 10.0}) {
+        cases.push_back({bits, layout, filter});
+      }
+    }
+  }
+  return cases;
+}
+
+INSTANTIATE_TEST_SUITE_P(Sweep, CgrxWaveOracleTest,
+                         ::testing::ValuesIn(MakeWaveCases()), WaveCaseName);
 
 // ---------------------------------------------------------------------
 // Degenerate inputs.
