@@ -187,12 +187,14 @@ int main(int argc, char** argv) {
 
   // The production path: coherence-scheduled batch lookups through the
   // index (up to five rays plus the bucket search per key).
-  index.ResetStatCounters();
+  const auto rays_fired = [&index] {
+    return index.stat_counters().rays_fired.load(std::memory_order_relaxed);
+  };
+  const std::uint64_t rays_before = rays_fired();
   const double serial_lookups_per_sec =
       MeasureLookups(index, probes, &results, ExecutionPolicy::Serial());
   const double rays_per_lookup =
-      static_cast<double>(
-          index.stat_counters().rays_fired.load(std::memory_order_relaxed)) /
+      static_cast<double>(rays_fired() - rays_before) /
       static_cast<double>(num_lookups);
   const double parallel_lookups_per_sec =
       MeasureLookups(index, probes, &results, ExecutionPolicy::Parallel());

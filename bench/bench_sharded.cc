@@ -7,14 +7,6 @@
 // scheduler-parallel policies), combined-wave update throughput, and a
 // correctness check against the unsharded baseline's lookup results.
 //
-// Sharded cells additionally measure nested parallelism on a *skewed*
-// probe batch (every probe lands in the lowest eighth of the key
-// space): with serial inner batches -- the pre-scheduler behaviour --
-// a skewed batch collapses onto one shard's single thread, while
-// parallel inner batches fan the hot shard's work back out over the
-// whole scheduler. The serial_inner vs parallel_inner columns quantify
-// exactly that.
-//
 // Standalone (no google-benchmark dependency) so CI can always build
 // and smoke-run it:
 //
@@ -33,7 +25,6 @@
 #include "src/api/execution_policy.h"
 #include "src/api/factory.h"
 #include "src/api/index.h"
-#include "src/api/sharded_index.h"
 #include "src/util/rng.h"
 #include "src/util/timer.h"
 
@@ -56,20 +47,9 @@ struct CellResult {
   double build_seconds = 0;
   double serial_lookups_per_sec = 0;
   double parallel_lookups_per_sec = 0;
-  // Skewed probe batch under a parallel policy: inner batches serial
-  // (old fan-out) vs inner batches parallel (nested on the scheduler).
-  double serial_inner_skew_lookups_per_sec = 0;
-  double parallel_inner_skew_lookups_per_sec = 0;
   double wave_updates_per_sec = 0;
   std::size_t memory_bytes = 0;
   bool matches_baseline = true;
-
-  double NestedSpeedup() const {
-    return serial_inner_skew_lookups_per_sec > 0
-               ? parallel_inner_skew_lookups_per_sec /
-                     serial_inner_skew_lookups_per_sec
-               : 0;
-  }
 };
 
 double MeasureLookups(const cgrx::api::Index<std::uint64_t>& index,
@@ -136,13 +116,6 @@ int main(int argc, char** argv) {
   }
   std::vector<std::uint64_t> probes(num_lookups);
   for (auto& p : probes) p = keys[rng.Below(num_keys)];
-  // Skewed probes: everything lands in the lowest eighth of the key
-  // space, i.e. on one shard under range sharding -- the worst case for
-  // a serial-inner fan-out and the showcase for nested parallelism.
-  std::vector<std::uint64_t> skew_probes(num_lookups);
-  for (auto& p : skew_probes) {
-    p = 2 * rng.Below(std::max<std::size_t>(1, num_keys / 8));
-  }
   // Wave keys are odd (absent) values strided across the whole key
   // space, so range-sharded waves spread over every shard instead of
   // piling onto the last one.
@@ -187,21 +160,6 @@ int main(int argc, char** argv) {
         MeasureLookups(*index, probes, &scratch, ExecutionPolicy::Parallel());
     row.matches_baseline =
         row.matches_baseline && scratch == baseline_results;
-    if (auto* composite =
-            dynamic_cast<cgrx::api::ShardedIndex<std::uint64_t>*>(
-                index.get())) {
-      std::vector<LookupResult> skew_serial_inner;
-      std::vector<LookupResult> skew_parallel_inner;
-      composite->set_serial_inner_batches(true);
-      row.serial_inner_skew_lookups_per_sec = MeasureLookups(
-          *index, skew_probes, &skew_serial_inner, ExecutionPolicy::Parallel());
-      composite->set_serial_inner_batches(false);
-      row.parallel_inner_skew_lookups_per_sec =
-          MeasureLookups(*index, skew_probes, &skew_parallel_inner,
-                         ExecutionPolicy::Parallel());
-      row.matches_baseline =
-          row.matches_baseline && skew_serial_inner == skew_parallel_inner;
-    }
     // One combined wave in (insert the odd keys), one wave out (retire
     // them): steady-state churn at constant footprint.
     Timer wave_timer;
@@ -213,11 +171,10 @@ int main(int argc, char** argv) {
     rows.push_back(row);
     std::printf(
         "%-12s  build %6.2fs  serial %10.0f l/s  parallel %10.0f l/s  "
-        "skew-inner %.0f -> %.0f l/s (%.2fx)  waves %10.0f u/s  %s\n",
+        "waves %10.0f u/s  %s\n",
         label.c_str(), row.build_seconds, row.serial_lookups_per_sec,
-        row.parallel_lookups_per_sec, row.serial_inner_skew_lookups_per_sec,
-        row.parallel_inner_skew_lookups_per_sec, row.NestedSpeedup(),
-        row.wave_updates_per_sec, row.matches_baseline ? "ok" : "MISMATCH");
+        row.parallel_lookups_per_sec, row.wave_updates_per_sec,
+        row.matches_baseline ? "ok" : "MISMATCH");
   };
 
   std::printf("benchmarking backend \"%s\" over %zu keys, %zu lookups\n",
@@ -258,17 +215,12 @@ int main(int argc, char** argv) {
         "    {\"config\": \"%s\", \"scheme\": \"%s\", \"shards\": %u, "
         "\"build_seconds\": %.3f, \"serial_lookups_per_sec\": %.0f, "
         "\"parallel_lookups_per_sec\": %.0f, "
-        "\"serial_inner_skew_lookups_per_sec\": %.0f, "
-        "\"parallel_inner_skew_lookups_per_sec\": %.0f, "
-        "\"nested_speedup\": %.3f, "
         "\"wave_updates_per_sec\": %.0f, \"memory_bytes\": %zu, "
         "\"matches_baseline\": %s}%s\n",
         row.config.c_str(), row.scheme.c_str(), row.shards,
         row.build_seconds, row.serial_lookups_per_sec,
-        row.parallel_lookups_per_sec,
-        row.serial_inner_skew_lookups_per_sec,
-        row.parallel_inner_skew_lookups_per_sec, row.NestedSpeedup(),
-        row.wave_updates_per_sec, row.memory_bytes,
+        row.parallel_lookups_per_sec, row.wave_updates_per_sec,
+        row.memory_bytes,
         row.matches_baseline ? "true" : "false",
         i + 1 < rows.size() ? "," : "");
   }

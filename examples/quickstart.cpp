@@ -1,5 +1,5 @@
 // Quickstart for the unified public API: build any paper competitor
-// through the factory registry, run batched point and range lookups
+// by name through MakeIndex, run batched point and range lookups
 // under an execution policy, introspect the index through IndexStats,
 // apply a combined update wave, and serve the index asynchronously
 // through IndexService.

@@ -11,6 +11,7 @@
 
 #include "src/api/index.h"
 #include "src/core/types.h"
+#include "src/core/update_wave.h"
 #include "src/storage/format.h"
 #include "src/util/radix_sort.h"
 
@@ -164,12 +165,6 @@ class IndexAdapter final : public Index<typename Impl::KeyType> {
     return stats;
   }
 
-  void ResetStatCounters() override {
-    if constexpr (requires(Impl& i) { i.ResetStatCounters(); }) {
-      impl_.ResetStatCounters();
-    }
-  }
-
   std::size_t size() const override { return impl_.size(); }
 
   /// The wrapped implementation, for callers needing backend-specific
@@ -198,38 +193,28 @@ class IndexAdapter final : public Index<typename Impl::KeyType> {
     }
   }
 
-  void DoInsertBatch(const std::vector<Key>& keys,
-                     const std::vector<std::uint32_t>& row_ids,
-                     const ExecutionPolicy& policy) override {
-    if constexpr (requires(Impl& i) { i.InsertBatch(keys, row_ids, policy); }) {
-      impl_.InsertBatch(keys, row_ids, policy);
-    } else if constexpr (kHasUpdates) {
-      impl_.InsertBatch(keys, row_ids);
-    } else {
-      Index<Key>::DoInsertBatch(keys, row_ids, policy);
-    }
-  }
-
-  void DoEraseBatch(const std::vector<Key>& keys,
-                    const ExecutionPolicy& policy) override {
-    if constexpr (requires(Impl& i) { i.EraseBatch(keys, policy); }) {
-      impl_.EraseBatch(keys, policy);
-    } else if constexpr (kHasUpdates) {
-      impl_.EraseBatch(keys);
-    } else {
-      Index<Key>::DoEraseBatch(keys, policy);
-    }
-  }
-
+  /// The one update dispatch. cgRX and cgRXu apply a wave natively:
+  /// cgRXu in one bucket pass (paper Section IV), cgRX in one merge
+  /// plus one scene rebuild. Every other backend runs its own EraseBatch
+  /// and then its own InsertBatch, after core::CancelPairedUpdates when
+  /// both sides hold keys: the routine the native waves run, so the
+  /// semantics stay identical. A one-sided wave skips that sort and
+  /// reaches the backend in caller order.
   void DoUpdateBatch(std::vector<Key> insert_keys,
                      std::vector<std::uint32_t> insert_rows,
                      std::vector<Key> erase_keys,
                      const ExecutionPolicy& policy) override {
     if constexpr (kHasCombinedUpdates) {
-      // Native wave: cgRXu applies both sides in one bucket pass (paper
-      // Section IV), cgRX in one merge plus one scene rebuild.
       impl_.UpdateBatch(std::move(insert_keys), std::move(insert_rows),
                         std::move(erase_keys), policy);
+    } else if constexpr (kHasUpdates) {
+      if (!insert_keys.empty() && !erase_keys.empty()) {
+        core::CancelPairedUpdates(&insert_keys, &insert_rows, &erase_keys);
+      }
+      if (!erase_keys.empty()) impl_.EraseBatch(std::move(erase_keys));
+      if (!insert_keys.empty()) {
+        impl_.InsertBatch(std::move(insert_keys), std::move(insert_rows));
+      }
     } else {
       Index<Key>::DoUpdateBatch(std::move(insert_keys),
                                 std::move(insert_rows),

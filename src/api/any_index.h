@@ -110,14 +110,6 @@ class AnyIndex {
     return index32_ != nullptr ? index32_->Stats() : index64_->Stats();
   }
 
-  void ResetStatCounters() {
-    if (index32_ != nullptr) {
-      index32_->ResetStatCounters();
-    } else {
-      index64_->ResetStatCounters();
-    }
-  }
-
   std::size_t size() const {
     return index32_ != nullptr ? index32_->size() : index64_->size();
   }

@@ -1,69 +1,35 @@
 #ifndef CGRX_SRC_API_FACTORY_H_
 #define CGRX_SRC_API_FACTORY_H_
 
+#include <array>
 #include <cstdint>
-#include <functional>
-#include <map>
-#include <mutex>
-#include <string>
 #include <string_view>
-#include <vector>
 
 #include "src/api/index.h"
 #include "src/api/index_options.h"
 #include "src/api/sharded_index.h"
-#include "src/core/types.h"
 
 namespace cgrx::api {
 
-/// String-keyed registry of index constructors for one key width.
-/// Backends self-register in factory.cc; additional backends (new
-/// baselines, sharded/wrapped indexes) can register at runtime.
-template <typename Key>
-class IndexFactory {
- public:
-  using Creator = std::function<IndexPtr<Key>(const IndexOptions&)>;
+/// The eight competitors of the paper's evaluation (Section VI / Table
+/// I), sorted: the names MakeIndex accepts.
+inline constexpr std::array<std::string_view, 8> kBackendNames = {
+    "btree", "cgrx", "cgrxu", "fullscan", "ht", "rtscan", "rx", "sa"};
 
-  /// Process-wide registry for this key width.
-  static IndexFactory& Global();
-
-  /// Registers `creator` under `name`; returns false (and leaves the
-  /// registry unchanged) if the name is taken. Throws
-  /// std::invalid_argument for a null creator.
-  bool Register(std::string name, Creator creator);
-
-  /// Creates an index. A "sharded:<backend>" name composes a
-  /// ShardedIndex over IndexOptions::shard_count instances of
-  /// <backend>, partitioned by IndexOptions::shard_scheme. Throws
-  /// std::invalid_argument for unknown names, listing the registered
-  /// backends in the message.
-  IndexPtr<Key> Create(std::string_view name,
-                       const IndexOptions& options = {}) const;
-
-  bool Contains(std::string_view name) const;
-
-  /// Registered backend names in sorted order (the base names;
-  /// "sharded:" composition is a Create-time prefix, not an entry).
-  std::vector<std::string> RegisteredNames() const;
-
-  /// Backwards-compatible alias for RegisteredNames().
-  std::vector<std::string> Names() const { return RegisteredNames(); }
-
- private:
-  mutable std::mutex mutex_;
-  std::map<std::string, Creator, std::less<>> creators_;
-};
-
-/// Creates one of the eight paper competitors by registry name:
-/// "cgrx", "cgrxu", "rx", "sa", "btree", "ht", "fullscan", "rtscan".
+/// Creates one of kBackendNames, configured from `options`, and stamps
+/// `options` on it (Index::creation_options). One "sharded:" prefix
+/// composes a ShardedIndex over IndexOptions::shard_count instances of
+/// the named backend, partitioned by IndexOptions::shard_scheme. Throws
+/// std::invalid_argument for any other name, including a nested
+/// "sharded:sharded:" prefix.
 template <typename Key>
 IndexPtr<Key> MakeIndex(std::string_view name,
-                        const IndexOptions& options = {}) {
-  return IndexFactory<Key>::Global().Create(name, options);
-}
+                        const IndexOptions& options = {});
 
-extern template class IndexFactory<std::uint32_t>;
-extern template class IndexFactory<std::uint64_t>;
+extern template IndexPtr<std::uint32_t> MakeIndex(std::string_view,
+                                                  const IndexOptions&);
+extern template IndexPtr<std::uint64_t> MakeIndex(std::string_view,
+                                                  const IndexOptions&);
 
 }  // namespace cgrx::api
 

@@ -13,7 +13,6 @@
 #include "src/api/execution_policy.h"
 #include "src/api/index_options.h"
 #include "src/core/types.h"
-#include "src/core/update_wave.h"
 
 namespace cgrx::storage {
 class SnapshotWriter;
@@ -113,7 +112,7 @@ class Index {
 
   virtual ~Index() = default;
 
-  /// Registry name of the backend ("cgrx", "rx", ...), as accepted by
+  /// Name of the backend ("cgrx", "rx", ...), as accepted by
   /// MakeIndex().
   virtual std::string_view name() const = 0;
 
@@ -144,21 +143,19 @@ class Index {
   }
 
   /// Inserts a batch of key/rowID pairs (incrementally or by rebuild,
-  /// depending on the backend -- paper Table I).
+  /// depending on the backend -- paper Table I): an UpdateBatch wave
+  /// without erases.
   void InsertBatch(const std::vector<Key>& keys,
                    const std::vector<std::uint32_t>& row_ids,
                    const ExecutionPolicy& policy = {}) {
-    if (keys.size() != row_ids.size()) {
-      throw std::invalid_argument("InsertBatch: keys/row_ids size mismatch");
-    }
-    DoInsertBatch(keys, row_ids, policy);
+    UpdateBatch(keys, row_ids, {}, policy);
   }
 
   /// Deletes one instance per requested key (multiset semantics); keys
-  /// not present are ignored.
+  /// not present are ignored. An UpdateBatch wave without inserts.
   void EraseBatch(const std::vector<Key>& keys,
                   const ExecutionPolicy& policy = {}) {
-    DoEraseBatch(keys, policy);
+    UpdateBatch({}, {}, keys, policy);
   }
 
   /// Applies one combined update wave: erases plus inserts, with keys
@@ -168,8 +165,9 @@ class Index {
   /// `capabilities().combined_updates` execute the wave natively: cgRXu
   /// in one pass that visits each touched bucket once, cgRX in one merge
   /// plus one scene rebuild (the paper's cgRX [rebuild]). Everything
-  /// else decomposes into the two-pass EraseBatch-then-InsertBatch path
-  /// with identical results.
+  /// else runs its own erase and then its own insert (IndexAdapter).
+  /// Throws std::invalid_argument, leaving the index as it was, when
+  /// the insert keys and rows differ in size.
   /// Batches are taken by value because the wave is sorted in place.
   void UpdateBatch(std::vector<Key> insert_keys,
                    std::vector<std::uint32_t> insert_rows,
@@ -201,20 +199,14 @@ class Index {
     throw UnsupportedOperationError(name(), "persistence");
   }
 
-  /// The IndexOptions this index was created from. The factory stamps
+  /// The IndexOptions this index was created from. MakeIndex stamps
   /// them at creation; a default-constructed set is returned for
-  /// indexes built outside the factory. Snapshots persist these so
+  /// indexes built outside MakeIndex. Snapshots persist these so
   /// OpenIndex can recreate an equivalent backend.
   const IndexOptions& creation_options() const { return creation_options_; }
   void set_creation_options(IndexOptions options) {
     creation_options_ = std::move(options);
   }
-
-  /// Zeroes the cumulative lookup-path counters (rays, probes, filter
-  /// rejections) so the next Stats() snapshot starts a fresh window --
-  /// the batch-level alternative to diffing snapshots with
-  /// IndexStats::Delta(). No-op for backends without counters.
-  virtual void ResetStatCounters() {}
 
   virtual std::size_t size() const = 0;
 
@@ -246,29 +238,11 @@ class Index {
     throw UnsupportedOperationError(name(), "range lookups");
   }
 
-  virtual void DoInsertBatch(const std::vector<Key>&,
-                             const std::vector<std::uint32_t>&,
-                             const ExecutionPolicy&) {
+  /// The one update hook: InsertBatch and EraseBatch reach it as waves
+  /// with one side empty.
+  virtual void DoUpdateBatch(std::vector<Key>, std::vector<std::uint32_t>,
+                             std::vector<Key>, const ExecutionPolicy&) {
     throw UnsupportedOperationError(name(), "updates");
-  }
-
-  virtual void DoEraseBatch(const std::vector<Key>&,
-                            const ExecutionPolicy&) {
-    throw UnsupportedOperationError(name(), "updates");
-  }
-
-  /// Default combined-wave implementation: cancel paired keys (the same
-  /// core::CancelPairedUpdates preprocessing cgRXu's native sweep runs,
-  /// which is what keeps the semantics identical), then pay two sweeps
-  /// (erase, insert). Backends with a native one-sweep wave override
-  /// (via IndexAdapter's requires-detection).
-  virtual void DoUpdateBatch(std::vector<Key> insert_keys,
-                             std::vector<std::uint32_t> insert_rows,
-                             std::vector<Key> erase_keys,
-                             const ExecutionPolicy& policy) {
-    core::CancelPairedUpdates(&insert_keys, &insert_rows, &erase_keys);
-    if (!erase_keys.empty()) DoEraseBatch(erase_keys, policy);
-    if (!insert_keys.empty()) DoInsertBatch(insert_keys, insert_rows, policy);
   }
 
  private:

@@ -28,7 +28,7 @@ enum class ShardScheme {
 /// the fields it understands and ignores the rest; defaults reproduce
 /// the paper's recommended configurations.
 ///
-/// The factory stamps the options it created an index from onto the
+/// MakeIndex stamps the options it created an index from onto the
 /// instance (Index::creation_options), and the persistence layer
 /// serializes them into every snapshot -- which is how
 /// storage::OpenIndex reconstructs an equivalent backend before

@@ -32,10 +32,11 @@ namespace cgrx::api {
 /// and interleaved update waves, under serial, parallel and
 /// nested-parallel execution.
 ///
-/// Constructed through the factory with a "sharded:" name prefix:
+/// Constructed by MakeIndex with one "sharded:" name prefix:
 /// MakeIndex("sharded:cgrxu", options) creates
 /// IndexOptions::shard_count inner "cgrxu" indexes partitioned by
-/// IndexOptions::shard_scheme.
+/// IndexOptions::shard_scheme. Shards are plain backends, never
+/// composites.
 template <typename Key>
 class ShardedIndex final : public Index<Key> {
  public:
@@ -160,10 +161,6 @@ class ShardedIndex final : public Index<Key> {
     return merged;
   }
 
-  void ResetStatCounters() override {
-    for (const IndexPtr<Key>& shard : shards_) shard->ResetStatCounters();
-  }
-
   std::size_t size() const override {
     std::size_t total = 0;
     for (const IndexPtr<Key>& shard : shards_) total += shard->size();
@@ -173,16 +170,6 @@ class ShardedIndex final : public Index<Key> {
   ShardScheme scheme() const { return scheme_; }
   std::size_t shard_count() const { return shards_.size(); }
   const std::vector<IndexPtr<Key>>& shards() const { return shards_; }
-
-  /// Ablation/benchmark knob: when set, inner batches run serially
-  /// inside each shard regardless of the caller's policy -- the
-  /// pre-scheduler behaviour, kept so bench_sharded can measure what
-  /// nested parallelism buys (and a skewed batch shows the difference
-  /// starkly). Defaults to off: inner batches inherit the caller's
-  /// policy.
-  void set_serial_inner_batches(bool serial_inner) {
-    serial_inner_batches_ = serial_inner;
-  }
 
   /// Shard owning `key` (routing is fixed after Build under kRange;
   /// purely arithmetic under kHash).
@@ -221,7 +208,7 @@ class ShardedIndex final : public Index<Key> {
       if (shard_keys[s].empty()) return;
       std::vector<core::LookupResult> local(shard_keys[s].size());
       shards_[s]->PointLookupBatch(shard_keys[s].data(), shard_keys[s].size(),
-                                   local.data(), InnerPolicy(policy));
+                                   local.data(), policy);
       for (std::size_t j = 0; j < local.size(); ++j) {
         results[shard_orig[s][j]] = local[j];
       }
@@ -260,7 +247,7 @@ class ShardedIndex final : public Index<Key> {
       }
       partial[s].resize(local_ranges.size());
       shards_[s]->RangeLookupBatch(local_ranges.data(), local_ranges.size(),
-                                   partial[s].data(), InnerPolicy(policy));
+                                   partial[s].data(), policy);
     });
     for (std::size_t i = 0; i < count; ++i) results[i] = {};
     for (std::size_t s = 0; s < shards_.size(); ++s) {
@@ -272,42 +259,10 @@ class ShardedIndex final : public Index<Key> {
     }
   }
 
-  void DoInsertBatch(const std::vector<Key>& keys,
-                     const std::vector<std::uint32_t>& row_ids,
-                     const ExecutionPolicy& policy) override {
-    if (!capabilities().updates) {
-      throw UnsupportedOperationError(name(), "updates");
-    }
-    std::vector<std::vector<Key>> shard_keys(shards_.size());
-    std::vector<std::vector<std::uint32_t>> shard_rows(shards_.size());
-    for (std::size_t i = 0; i < keys.size(); ++i) {
-      const std::size_t s = ShardOf(keys[i]);
-      shard_keys[s].push_back(keys[i]);
-      shard_rows[s].push_back(row_ids[i]);
-    }
-    FanOut(policy, [&](std::size_t s) {
-      if (shard_keys[s].empty()) return;
-      shards_[s]->InsertBatch(shard_keys[s], shard_rows[s],
-                              InnerPolicy(policy));
-    });
-  }
-
-  void DoEraseBatch(const std::vector<Key>& keys,
-                    const ExecutionPolicy& policy) override {
-    if (!capabilities().updates) {
-      throw UnsupportedOperationError(name(), "updates");
-    }
-    std::vector<std::vector<Key>> shard_keys(shards_.size());
-    for (const Key key : keys) shard_keys[ShardOf(key)].push_back(key);
-    FanOut(policy, [&](std::size_t s) {
-      if (shard_keys[s].empty()) return;
-      shards_[s]->EraseBatch(shard_keys[s], InnerPolicy(policy));
-    });
-  }
-
-  /// Combined waves partition both sides by shard; a key inserted and
-  /// erased in the same wave routes to the same shard, so the pairwise
-  /// cancellation semantics survive sharding unchanged.
+  /// Every update (InsertBatch and EraseBatch are one-sided waves)
+  /// partitions both sides by shard and hands each shard one wave. A
+  /// key inserted and erased in the same wave routes to the same shard,
+  /// so the pairwise cancellation semantics survive sharding unchanged.
   void DoUpdateBatch(std::vector<Key> insert_keys,
                      std::vector<std::uint32_t> insert_rows,
                      std::vector<Key> erase_keys,
@@ -330,7 +285,7 @@ class ShardedIndex final : public Index<Key> {
       if (shard_ins[s].empty() && shard_dels[s].empty()) return;
       shards_[s]->UpdateBatch(std::move(shard_ins[s]),
                               std::move(shard_rows[s]),
-                              std::move(shard_dels[s]), InnerPolicy(policy));
+                              std::move(shard_dels[s]), policy);
     });
   }
 
@@ -350,13 +305,6 @@ class ShardedIndex final : public Index<Key> {
   template <typename Body>
   void FanOut(const ExecutionPolicy& policy, Body&& body) const {
     policy.For(shards_.size(), 1, body);
-  }
-
-  /// Policy handed to the inner (per-shard) batches: the caller's own
-  /// policy, so a parallel batch nests shard x inner on the reentrant
-  /// scheduler -- unless the serial-inner ablation knob is set.
-  ExecutionPolicy InnerPolicy(const ExecutionPolicy& policy) const {
-    return serial_inner_batches_ ? ExecutionPolicy::Serial() : policy;
   }
 
   /// Quantile boundaries over the bulk-load keys via successive
@@ -390,7 +338,6 @@ class ShardedIndex final : public Index<Key> {
   std::string name_;
   std::vector<IndexPtr<Key>> shards_;
   ShardScheme scheme_;
-  bool serial_inner_batches_ = false;
   std::vector<Key> upper_bounds_;  ///< kRange: N-1 shard upper bounds.
 };
 

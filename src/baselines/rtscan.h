@@ -126,7 +126,6 @@ class RtScan {
 
   /// Cumulative segment rays fired by lookups, feeding api::IndexStats.
   const core::LookupCounters& stat_counters() const { return counters_; }
-  void ResetStatCounters() { counters_.Reset(); }
 
   /// Persistence hook (requires-detected): RTScan keeps no key column
   /// -- like RX, keys live implicitly in the triangle positions -- so

@@ -238,17 +238,6 @@ class BucketArray {
     return result;
   }
 
-  /// Test helper: collects the rowIDs of all entries in [lo, hi].
-  void CollectRange(std::size_t start_bucket, Key lo, Key hi,
-                    std::vector<std::uint32_t>* out) const {
-    std::size_t i = BucketBegin(start_bucket);
-    while (i < size_ && KeyAt(i) < lo) ++i;
-    while (i < size_ && KeyAt(i) <= hi) {
-      out->push_back(RowIdAt(i));
-      ++i;
-    }
-  }
-
   /// Bytes of the key-rowID array (the dominant non-scene footprint).
   std::size_t MemoryFootprintBytes() const {
     if (layout_ == BucketLayout::kColumn) {
@@ -256,20 +245,6 @@ class BucketArray {
              row_ids_.size() * sizeof(std::uint32_t);
     }
     return rows_.size();
-  }
-
-  /// Copies out the sorted keys.
-  std::vector<Key> ExtractKeys() const {
-    std::vector<Key> out(size_);
-    for (std::size_t i = 0; i < size_; ++i) out[i] = KeyAt(i);
-    return out;
-  }
-
-  /// Re-extracts the rowIDs, parallel to ExtractKeys().
-  std::vector<std::uint32_t> ExtractRowIds() const {
-    std::vector<std::uint32_t> out(size_);
-    for (std::size_t i = 0; i < size_; ++i) out[i] = RowIdAt(i);
-    return out;
   }
 
   /// Snapshot support: persists the physical layout verbatim (the row

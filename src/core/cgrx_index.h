@@ -205,7 +205,6 @@ class CgrxIndex {
   /// Cumulative lookup-path counters (rays, bucket probes, miss-filter
   /// rejections) feeding api::IndexStats.
   const LookupCounters& stat_counters() const { return counters_; }
-  void ResetStatCounters() { counters_.Reset(); }
 
   /// Native snapshot hook (storage layer, requires-detected by the
   /// adapter): persists the bucket array, the full representative scene

@@ -306,7 +306,6 @@ class CgrxuIndex {
 
   /// Cumulative lookup-path counters feeding api::IndexStats.
   const LookupCounters& stat_counters() const { return counters_; }
-  void ResetStatCounters() { counters_.Reset(); }
 
   std::size_t size() const { return total_size_; }
   std::uint32_t node_capacity() const { return node_capacity_; }

@@ -49,9 +49,11 @@ inline constexpr std::size_t kCoherentParallelMin = 1 << 15;
 /// policy's scheduler, and RadixSortPairs runs parallel
 /// histogram+scatter passes -- both with results identical to serial
 /// execution, so the schedule stays deterministic. A serial policy is
-/// honored throughout: the prologue runs on the calling thread and the
-/// sort is forced serial too (the debugging/determinism-check
-/// contract of ExecutionPolicy::Serial()).
+/// honored throughout: the prologue runs on the calling thread, and the
+/// sort is told to stay on it through its `parallel` argument (the
+/// debugging/determinism-check contract of ExecutionPolicy::Serial()).
+/// The scheduler itself is left alone, so other threads' batches,
+/// builds and checkpoints keep running in parallel meanwhile.
 template <typename Key>
 void CoherentOrder(const Key* keys, std::size_t count,
                    std::vector<Key>* sorted, std::vector<std::uint32_t>* perm,
@@ -81,12 +83,7 @@ void CoherentOrder(const Key* keys, std::size_t count,
   }
   const int occupied = std::max(1, static_cast<int>(std::bit_width(max_key)));
   const int min_bit = std::max(0, occupied - kBits / 2);
-  if (policy.serial()) {
-    const util::TaskScheduler::SerialScope force_serial;
-    util::RadixSortPairs(sorted, perm, occupied, min_bit);
-  } else {
-    util::RadixSortPairs(sorted, perm, occupied, min_bit);
-  }
+  util::RadixSortPairs(sorted, perm, occupied, min_bit, !policy.serial());
 }
 
 /// Range-batch variant: schedules by each range's lower bound and

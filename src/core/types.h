@@ -82,13 +82,6 @@ struct LookupCounters {
     return *this;
   }
 
-  void Reset() {
-    rays_fired.store(0, std::memory_order_relaxed);
-    buckets_probed.store(0, std::memory_order_relaxed);
-    filter_rejections.store(0, std::memory_order_relaxed);
-    update_buckets_swept.store(0, std::memory_order_relaxed);
-  }
-
   void Merge(const LocalLookupCounters& local) {
     if (local.rays_fired != 0) {
       rays_fired.fetch_add(local.rays_fired, std::memory_order_relaxed);

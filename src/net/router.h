@@ -30,7 +30,7 @@ struct IndexInfo {
 /// Multi-index router: hosts many named ServingIndex instances behind
 /// one server, each backed by its own store directory under
 /// `Options::root/<name>`. Open recovers an existing store or creates
-/// a fresh one from a factory backend -- or, with a
+/// a fresh one from a MakeIndex backend name -- or, with a
 /// "replica:<host>:<port>/<primary_index>" backend, a
 /// replication::ReplicaIndexService tailing a primary on another
 /// server. Close drains and evicts one index while the rest keep
@@ -155,7 +155,7 @@ class IndexRouter {
 
   /// Opens index `name`: recovers `root/<name>` if a store exists
   /// there (snapshot + WAL replay; `backend` is ignored), else creates
-  /// a fresh empty index of factory backend `backend` and initializes
+  /// a fresh empty index of MakeIndex backend `backend` and initializes
   /// its store. A `backend` of the form
   /// "replica:<host>:<port>/<primary_index>" instead hosts a read-only
   /// replica tailing that primary (bootstrapping from empty, or

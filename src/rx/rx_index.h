@@ -262,7 +262,6 @@ class RxIndex {
 
   /// Cumulative rays fired by lookups, feeding api::IndexStats.
   const core::LookupCounters& stat_counters() const { return counters_; }
-  void ResetStatCounters() { counters_.Reset(); }
 
   /// Native snapshot hook: persists the scene (vertex buffer with
   /// parked spare slots intact, both BVHs) plus the slot side tables,

@@ -40,7 +40,7 @@ void SaveIndex(const api::Index<Key>& index,
                const SaveOptions& options = {});
 
 /// Opens a snapshot written by SaveIndex: verifies framing, version and
-/// checksums, recreates the backend through the IndexFactory from the
+/// checksums, recreates the backend through MakeIndex from the
 /// recorded name and options, restores its state, and cross-checks the
 /// restored entry count against the header. Throws
 /// VersionMismatchError for other format revisions, CorruptionError for

@@ -107,7 +107,7 @@ bool CountingPassParallel(const std::vector<K>& keys_in,
 
 template <typename K, typename V>
 void RadixSortImpl(std::vector<K>* keys, std::vector<V>* values, int key_bits,
-                   int min_bit) {
+                   int min_bit, bool allow_parallel) {
   assert(keys->size() == values->size());
   assert(min_bit >= 0 && min_bit <= key_bits);
   const int first_pass = min_bit / kRadixBits;
@@ -119,7 +119,7 @@ void RadixSortImpl(std::vector<K>* keys, std::vector<V>* values, int key_bits,
   auto* va = values;
   auto* vb = &vals_tmp;
   TaskScheduler& scheduler = TaskScheduler::Global();
-  const bool parallel = keys->size() >= kParallelSortMin &&
+  const bool parallel = allow_parallel && keys->size() >= kParallelSortMin &&
                         scheduler.num_threads() > 1 &&
                         !TaskScheduler::SerialForced();
   for (int p = first_pass; p < passes; ++p) {
@@ -143,21 +143,21 @@ void RadixSortKeysImpl(std::vector<K>* keys, int key_bits, int min_bit) {
   // Sort with throwaway values to reuse the pair implementation; the
   // value array is byte-sized so the overhead stays negligible.
   std::vector<std::uint8_t> dummy(keys->size());
-  RadixSortImpl(keys, &dummy, key_bits, min_bit);
+  RadixSortImpl(keys, &dummy, key_bits, min_bit, /*allow_parallel=*/true);
 }
 
 }  // namespace
 
 void RadixSortPairs(std::vector<std::uint64_t>* keys,
                     std::vector<std::uint32_t>* values, int key_bits,
-                    int min_bit) {
-  RadixSortImpl(keys, values, key_bits, min_bit);
+                    int min_bit, bool parallel) {
+  RadixSortImpl(keys, values, key_bits, min_bit, parallel);
 }
 
 void RadixSortPairs(std::vector<std::uint32_t>* keys,
                     std::vector<std::uint32_t>* values, int key_bits,
-                    int min_bit) {
-  RadixSortImpl(keys, values, key_bits, min_bit);
+                    int min_bit, bool parallel) {
+  RadixSortImpl(keys, values, key_bits, min_bit, parallel);
 }
 
 void RadixSortKeys(std::vector<std::uint64_t>* keys, int key_bits,

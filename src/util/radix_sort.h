@@ -27,12 +27,14 @@ namespace cgrx::util {
 /// result is ordered by bits [min_bit & ~7, key_bits) only, with equal
 /// prefixes keeping their original order -- the approximate ordering the
 /// coherence scheduler uses, at a fraction of the passes of a full sort.
+/// `parallel` false keeps every pass on the calling thread (a serial
+/// ExecutionPolicy's sort) without touching any other thread's work.
 void RadixSortPairs(std::vector<std::uint64_t>* keys,
                     std::vector<std::uint32_t>* values, int key_bits = 64,
-                    int min_bit = 0);
+                    int min_bit = 0, bool parallel = true);
 void RadixSortPairs(std::vector<std::uint32_t>* keys,
                     std::vector<std::uint32_t>* values, int key_bits = 32,
-                    int min_bit = 0);
+                    int min_bit = 0, bool parallel = true);
 
 /// Radix sort of a bare key array (used for update batches).
 void RadixSortKeys(std::vector<std::uint64_t>* keys, int key_bits = 64,

@@ -1,15 +1,18 @@
 // Conformance suite for the unified public API (src/api): every
-// factory-registered backend, at both key widths, must build, look up,
+// backend MakeIndex names, at both key widths, must build, look up,
 // insert and erase consistently with a multimap oracle -- gated on the
 // capabilities it reports -- and parallel batch execution must produce
-// byte-identical results to serial execution. Also covers the factory
-// registry itself, the width-erased AnyIndex handle and the IndexStats
-// counters.
+// byte-identical results to serial execution. Also covers the backend
+// table itself, the one update path, the width-erased AnyIndex handle
+// and the IndexStats counters.
 #include <algorithm>
 #include <cstdint>
+#include <iterator>
 #include <map>
 #include <string>
+#include <string_view>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -19,6 +22,7 @@
 #include "src/api/factory.h"
 #include "src/api/index.h"
 #include "src/core/cgrx_index.h"
+#include "src/storage/format.h"
 #include "src/util/rng.h"
 
 namespace cgrx::api {
@@ -91,24 +95,49 @@ INSTANTIATE_TEST_SUITE_P(AllBackends, ApiConformanceTest,
                          ::testing::ValuesIn(AllParams()), ParamName);
 
 // ---------------------------------------------------------------------
-// Factory registry.
+// The backend table (MakeIndex).
 // ---------------------------------------------------------------------
 
-TEST(IndexFactoryTest, AllEightCompetitorsRegisteredAtBothWidths) {
-  const auto names32 = IndexFactory<std::uint32_t>::Global().Names();
-  const auto names64 = IndexFactory<std::uint64_t>::Global().Names();
-  for (const char* backend : kAllBackends) {
-    EXPECT_TRUE(std::count(names32.begin(), names32.end(), backend))
-        << backend << " missing from the 32-bit registry";
-    EXPECT_TRUE(std::count(names64.begin(), names64.end(), backend))
-        << backend << " missing from the 64-bit registry";
+TEST(IndexFactoryTest, EveryBackendNameCreatesThatBackendAtBothWidths) {
+  EXPECT_TRUE(std::ranges::is_sorted(kBackendNames));
+  std::vector<std::string_view> expected(std::begin(kAllBackends),
+                                         std::end(kAllBackends));
+  std::ranges::sort(expected);
+  EXPECT_TRUE(std::ranges::equal(kBackendNames, expected));
+  for (const std::string_view backend : kBackendNames) {
+    EXPECT_EQ(MakeIndex<std::uint32_t>(backend)->name(), backend);
+    EXPECT_EQ(MakeIndex<std::uint64_t>(backend)->name(), backend);
   }
 }
 
 TEST(IndexFactoryTest, UnknownBackendThrows) {
   EXPECT_THROW(MakeIndex<std::uint64_t>("no-such-index"),
                std::invalid_argument);
-  EXPECT_FALSE(IndexFactory<std::uint64_t>::Global().Contains("nope"));
+  EXPECT_THROW(MakeIndex<std::uint32_t>("sharded:no-such-index"),
+               std::invalid_argument);
+}
+
+// One prefix composes shards of a plain backend. Each nested prefix
+// would multiply the index count by the shard count, so a short name
+// could ask for millions of indexes; MakeIndex refuses it.
+TEST(IndexFactoryTest, NestedShardedPrefixIsRejected) {
+  IndexOptions options;
+  options.shard_count = 3;
+  const auto sharded = MakeIndex<std::uint64_t>("sharded:btree", options);
+  EXPECT_EQ(sharded->name(), "sharded:btree");
+  const auto* composite =
+      dynamic_cast<const ShardedIndex<std::uint64_t>*>(sharded.get());
+  ASSERT_NE(composite, nullptr);
+  EXPECT_EQ(composite->shard_count(), 3u);
+  for (const char* name :
+       {"sharded:sharded:btree", "sharded:sharded:sharded:cgrx", "sharded:"}) {
+    EXPECT_THROW(MakeIndex<std::uint32_t>(name, options),
+                 std::invalid_argument)
+        << name;
+    EXPECT_THROW(MakeIndex<std::uint64_t>(name, options),
+                 std::invalid_argument)
+        << name;
+  }
 }
 
 TEST(IndexFactoryTest, UnknownBackendErrorListsRegisteredNames) {
@@ -126,16 +155,6 @@ TEST(IndexFactoryTest, UnknownBackendErrorListsRegisteredNames) {
   }
 }
 
-TEST(IndexFactoryTest, RegisteredNamesIsSortedAndMatchesNames) {
-  const auto& factory = IndexFactory<std::uint64_t>::Global();
-  const auto registered = factory.RegisteredNames();
-  EXPECT_TRUE(std::is_sorted(registered.begin(), registered.end()));
-  EXPECT_EQ(registered, factory.Names());
-  for (const char* backend : kAllBackends) {
-    EXPECT_TRUE(std::count(registered.begin(), registered.end(), backend));
-  }
-}
-
 TEST(IndexFactoryTest, OptionsReachTheBackend) {
   IndexOptions options;
   options.bucket_size = 256;
@@ -144,23 +163,6 @@ TEST(IndexFactoryTest, OptionsReachTheBackend) {
       dynamic_cast<IndexAdapter<core::CgrxIndex64>*>(index.get());
   ASSERT_NE(adapter, nullptr);
   EXPECT_EQ(adapter->impl().config().bucket_size, 256u);
-}
-
-TEST(IndexFactoryTest, RuntimeRegistrationAndDuplicateRejection) {
-  auto& factory = IndexFactory<std::uint64_t>::Global();
-  const auto creator = [](const IndexOptions& options) {
-    return MakeIndex<std::uint64_t>("sa", options);
-  };
-  EXPECT_FALSE(factory.Register("cgrx", creator));  // Name taken.
-  EXPECT_THROW(factory.Register("null-creator", nullptr),
-               std::invalid_argument);
-  EXPECT_FALSE(factory.Contains("null-creator"));
-
-  // New backends can alias onto existing creators at runtime.
-  ASSERT_TRUE(factory.Register("sa-alias", creator));
-  const auto index = MakeIndex<std::uint64_t>("sa-alias");
-  index->Build({3, 1, 2});
-  EXPECT_EQ(index->size(), 3u);
 }
 
 // ---------------------------------------------------------------------
@@ -490,6 +492,92 @@ TEST(CombinedUpdateTest, CgrxuCombinedWaveVisitsEachTouchedBucketOnce) {
   combined->PointLookupBatch(probes, &combined_hits);
   split->PointLookupBatch(probes, &split_hits);
   EXPECT_EQ(combined_hits, split_hits);
+}
+
+/// A backend's persisted state as (section, bytes) pairs.
+template <typename Key>
+std::vector<std::pair<std::string, std::vector<std::uint8_t>>> SnapshotOf(
+    const Index<Key>& index) {
+  storage::SnapshotWriter writer;
+  index.SaveState(&writer);
+  return writer.TakeSections();
+}
+
+/// The answers every supported lookup kind gives for `probes`.
+template <typename Key>
+std::vector<LookupResult> AnswersOf(const Index<Key>& index,
+                                    const std::vector<Key>& probes) {
+  std::vector<LookupResult> answers;
+  std::vector<LookupResult> results;
+  if (index.capabilities().point_lookup) {
+    index.PointLookupBatch(probes, &results);
+    answers.insert(answers.end(), results.begin(), results.end());
+  }
+  if (index.capabilities().range_lookup) {
+    std::vector<KeyRange<Key>> ranges;
+    for (const Key lo : probes) {
+      ranges.push_back({lo, static_cast<Key>(lo | 0xfffff)});
+    }
+    index.RangeLookupBatch(ranges, &results);
+    answers.insert(answers.end(), results.begin(), results.end());
+  }
+  return answers;
+}
+
+template <typename Key>
+void ExpectInsertAndEraseBatchEqualOneSidedWaves(const std::string& backend) {
+  SCOPED_TRACE(backend + "_" + std::to_string(sizeof(Key) * 8));
+  // Unsorted keys with duplicates on both sides: a backend that sees
+  // the two paths' keys in different orders lays them out differently.
+  const std::vector<std::uint64_t> wide = MakeKeys(sizeof(Key) * 8, 3000, 55);
+  const std::vector<Key> keys(wide.begin(), wide.end());
+  std::vector<Key> ins;
+  std::vector<std::uint32_t> rows;
+  std::vector<Key> del;
+  Rng rng(56);
+  for (std::uint32_t i = 0; i < 600; ++i) {
+    ins.push_back(i % 4 == 0 ? keys[rng.Below(keys.size())]
+                             : static_cast<Key>(rng()));
+    rows.push_back(10000 + i);
+    del.push_back(i % 3 == 0 ? static_cast<Key>(rng())
+                             : keys[rng.Below(keys.size())]);
+  }
+  const auto batches = MakeIndex<Key>(backend);
+  const auto waves = MakeIndex<Key>(backend);
+  batches->Build(std::vector<Key>(keys));
+  waves->Build(std::vector<Key>(keys));
+  const IndexStats batches_before = batches->Stats();
+  const IndexStats waves_before = waves->Stats();
+
+  // Serial waves: a parallel cgRXu wave may number its split nodes in
+  // any order, which would make equal twins' snapshots differ.
+  const ExecutionPolicy serial = ExecutionPolicy::Serial();
+  batches->InsertBatch(ins, rows, serial);
+  batches->EraseBatch(del, serial);
+  waves->UpdateBatch(ins, rows, {}, serial);
+  waves->UpdateBatch({}, {}, del, serial);
+
+  EXPECT_EQ(SnapshotOf(*batches), SnapshotOf(*waves));
+  const IndexStats batches_delta = batches->Stats().Delta(batches_before);
+  const IndexStats waves_delta = waves->Stats().Delta(waves_before);
+  EXPECT_EQ(batches_delta.memory_bytes, waves_delta.memory_bytes);
+  EXPECT_EQ(batches_delta.entries, waves_delta.entries);
+  EXPECT_EQ(batches_delta.update_buckets_swept,
+            waves_delta.update_buckets_swept);
+  std::vector<Key> probes(keys.begin(), keys.begin() + 500);
+  probes.insert(probes.end(), ins.begin(), ins.end());
+  EXPECT_EQ(AnswersOf(*batches, probes), AnswersOf(*waves, probes));
+}
+
+// InsertBatch and EraseBatch are one-sided UpdateBatch waves: the same
+// structure, footprint, counters and answers, on every backend that
+// updates and on sharded composites.
+TEST(UpdatePathTest, InsertAndEraseBatchEqualOneSidedWaves) {
+  for (const char* backend : {"cgrx", "cgrxu", "rx", "sa", "btree", "ht",
+                              "sharded:cgrxu", "sharded:rx"}) {
+    ExpectInsertAndEraseBatchEqualOneSidedWaves<std::uint32_t>(backend);
+    ExpectInsertAndEraseBatchEqualOneSidedWaves<std::uint64_t>(backend);
+  }
 }
 
 // ---------------------------------------------------------------------

@@ -84,16 +84,18 @@ TEST_P(BucketArrayLayoutTest, RangeScanSkipsBelowAndStopsAbove) {
   EXPECT_TRUE(array.RangeScan(0, 31, 100).IsMiss());
 }
 
-TEST_P(BucketArrayLayoutTest, ExtractRoundTrips) {
+TEST_P(BucketArrayLayoutTest, EntriesRoundTrip) {
   Rng rng(1);
   std::vector<std::uint64_t> keys(500);
   for (auto& k : keys) k = rng();
   std::sort(keys.begin(), keys.end());
   const auto array = Make<std::uint64_t>(std::vector<std::uint64_t>(keys),
                                          32, GetParam());
-  EXPECT_EQ(array.ExtractKeys(), keys);
-  const auto rows = array.ExtractRowIds();
-  for (std::size_t i = 0; i < rows.size(); ++i) EXPECT_EQ(rows[i], i);
+  ASSERT_EQ(array.size(), keys.size());
+  for (std::size_t i = 0; i < keys.size(); ++i) {
+    EXPECT_EQ(array.KeyAt(i), keys[i]) << i;
+    EXPECT_EQ(array.RowIdAt(i), i) << i;
+  }
 }
 
 TEST_P(BucketArrayLayoutTest, ApplyWaveMergesInOnePass) {

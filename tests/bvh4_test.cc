@@ -7,11 +7,13 @@
 // coherent, pipelined batch contract (batches answer and count like
 // per-key lookups).
 #include <algorithm>
+#include <atomic>
 #include <cstdint>
 #include <cstring>
 #include <map>
 #include <optional>
 #include <set>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -519,6 +521,41 @@ TEST(CoherentBatches, CgrxSortedBatchesMatchSubThresholdChunks) {
   ASSERT_GE(probes.size(), core::kCoherentParallelMin);
   ExpectCoherentBatchesMatchChunks(
       index, probes, RandomRanges(2000, 1ULL << 42, 1ULL << 18, &rng));
+}
+
+// A serial policy keeps its own batch on the calling thread and nothing
+// else: while serial batches sort and run, another thread's ParallelFor,
+// TaskGroup or scene rebuild must still reach the scheduler.
+TEST(CoherentBatches, SerialPolicyNeverSerializesOtherThreads) {
+  Rng rng(67);
+  const std::vector<std::uint64_t> keys =
+      RandomKeys(1 << 16, 1ULL << 42, &rng);
+  CgrxIndex64 index;
+  index.Build(keys);
+  std::vector<std::uint64_t> probes;
+  for (int i = 0; i < 8192; ++i) probes.push_back(keys[rng.Below(keys.size())]);
+  ASSERT_GE(probes.size(), core::kCoherentBatchMin);
+  std::atomic<bool> started{false};
+  std::atomic<bool> done{false};
+  std::uint64_t polls = 0;
+  std::uint64_t forced = 0;
+  std::thread observer([&] {
+    started.store(true, std::memory_order_release);
+    do {
+      ++polls;
+      if (util::TaskScheduler::SerialForced()) ++forced;
+    } while (!done.load(std::memory_order_acquire));
+  });
+  while (!started.load(std::memory_order_acquire)) std::this_thread::yield();
+  std::vector<LookupResult> results(probes.size());
+  for (int batch = 0; batch < 20; ++batch) {
+    index.PointLookupBatch(probes.data(), probes.size(), results.data(),
+                           api::ExecutionPolicy::Serial());
+  }
+  done.store(true, std::memory_order_release);
+  observer.join();
+  EXPECT_GT(polls, 0u);
+  EXPECT_EQ(forced, 0u) << "of " << polls << " polls";
 }
 
 // ---------------------------------------------------------------------

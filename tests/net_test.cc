@@ -123,6 +123,10 @@ TEST(NetServerTest, AdminVerbsAndErrorStatuses) {
             Status::kInvalidArgument);
   EXPECT_EQ(client.OpenIndex("ok", "no_such_backend").status,
             Status::kInvalidArgument);
+  // One "sharded:" prefix at most: each nested one would multiply the
+  // indexes the server allocates by the shard count.
+  EXPECT_EQ(client.OpenIndex("nest", "sharded:sharded:btree").status,
+            Status::kInvalidArgument);
 
   ASSERT_TRUE(client.OpenIndex("a", "btree").ok());
   ASSERT_TRUE(client.OpenIndex("b", "cgrxu").ok());
